@@ -99,9 +99,16 @@ def _resolve(args: argparse.Namespace) -> dict:
         if val is not None:
             cfg[key] = val
 
-    cfg["points"] = int(cfg["points"])
-    cfg["tail_eps"] = float(cfg["tail_eps"])
-    cfg["levels"] = int(cfg["levels"])
+    for key, kind in (("points", int), ("tail_eps", float), ("levels", int), ("delta", float)):
+        try:
+            if cfg[key] is not None or key != "delta":
+                cfg[key] = kind(cfg[key])
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError(f"{key} must be a number, got {cfg[key]!r}") from None
+    for key in ("dist", "out"):
+        # open() takes an int `out` as a file descriptor and would write to it
+        if not isinstance(cfg[key], str) and not (key == "out" and cfg[key] is None):
+            raise ParseError(f"{key} must be a string, got {cfg[key]!r}")
     if cfg["points"] < 101:
         raise DomainError(f"--points must be at least 101, got {cfg['points']}")
     if not 0.0 < cfg["tail_eps"] < 0.1:
@@ -109,7 +116,6 @@ def _resolve(args: argparse.Namespace) -> dict:
     if not 1 <= cfg["levels"] <= 10:
         raise DomainError(f"--levels must lie in [1, 10], got {cfg['levels']}")
     if cfg["delta"] is not None:
-        cfg["delta"] = float(cfg["delta"])
         if not cfg["delta"] > 0.0:
             raise DomainError(f"--delta must be positive, got {cfg['delta']}")
     if cfg["format"] not in ("csv", "json"):

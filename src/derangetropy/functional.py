@@ -78,17 +78,25 @@ def derangetropy_kernel(F):
     """Density-free factor (24/(pi*e)) * sin(pi*F) * F^F * (1-F)^(1-F).
 
     Multiplying a density f(x) by this factor evaluated at its own cdf gives
-    rho. Exactly zero at F = 0 and F = 1 (not merely rounding-level small).
+    rho. Computed in log space as SCALE * sin(pi*F) * exp(F*log(F) +
+    (1-F)*log(1-F)), and exactly zero at F = 0 and F = 1. That matches
+    derangetropy_entropy_form algebraically, so that form checks only the code
+    path; derangetropy_gamma_form and the 50-digit mpmath test are the oracles.
     """
     arr = np.asarray(F, dtype=float)
     scalar = arr.ndim == 0
-    if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
+    # comparisons with NaN are False, so this also rejects NaN
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise DomainError(f"kernel needs F in [0,1], got {F!r}")
-    safe_p = np.where(arr > 0.0, arr, 1.0)
-    safe_q = np.where(arr < 1.0, 1.0 - arr, 1.0)
-    psi = np.power(safe_p, arr) * np.power(safe_q, 1.0 - arr)
-    val = SCALE * np.sin(np.pi * arr) * psi
-    val = np.where((arr <= 0.0) | (arr >= 1.0), 0.0, np.maximum(val, 0.0))
+    q = 1.0 - arr
+    # log is skipped where its argument is 0, which leaves 0*log(0) = 0
+    log_psi = np.log(arr, out=np.zeros_like(arr), where=arr > 0.0)
+    log_psi *= arr
+    log_psi += q * np.log(q, out=np.zeros_like(q), where=q > 0.0)
+    val = SCALE * np.sin(np.pi * arr)
+    val *= np.exp(log_psi)
+    # sin(np.pi) is 1.2e-16, not 0
+    val *= q > 0.0
     return float(val) if scalar else val
 
 

@@ -211,14 +211,29 @@ def cumulative_integral(xs: Sequence[float], ys: Sequence[float]) -> np.ndarray:
         raise GridMismatch("need at least two grid points")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise NonFiniteSample("grid or values contain non-finite entries")
-    if np.any(np.diff(xs) <= 0.0):
+    dx = np.diff(xs)
+    if np.any(dx <= 0.0):
         raise NonMonotoneGrid("grid abscissae must be strictly increasing")
     floor = -_NEG_TOL * max(1.0, float(np.max(np.abs(ys))))
     if float(np.min(ys)) < floor:
         raise NegativeDensity(f"density has negative values down to {float(np.min(ys))!r}")
-    ys = np.maximum(ys, 0.0)
-    steps = 0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)
-    return np.concatenate([[0.0], np.cumsum(steps)])
+    return _cumulative_trapezoid(np.maximum(ys, 0.0), dx)
+
+
+def _trapezoid(ys: np.ndarray, dx: np.ndarray) -> float:
+    """Bit-identical to np.trapezoid(ys, xs) given dx = np.diff(xs), which callers share."""
+    terms = ys[1:] + ys[:-1]
+    terms *= dx
+    return float(terms.sum()) / 2.0
+
+
+def _cumulative_trapezoid(ys: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of ys over spacings dx, starting at 0; no checks."""
+    out = np.zeros(ys.size)
+    steps = np.add(ys[1:], ys[:-1], out=out[1:])
+    steps *= 0.5 * dx
+    np.cumsum(steps, out=steps)
+    return out
 
 
 # Lanczos approximation, g = 7, 9 coefficients. With the 0 < z < 0.5 branch

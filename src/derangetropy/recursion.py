@@ -3,7 +3,8 @@
 The iteration starts from a density sampled on a fixed uniform grid and
 repeatedly multiplies by the kernel evaluated at the current cdf, then
 renormalizes. Mass drifts only through trapezoid error, and the
-pre-renormalization mass of every step is kept as a health metric.
+pre-renormalization mass of every step is kept as a health metric. Every
+level is fully validated and computes np.diff(xs) once, shared by its sums.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .distributions import Distribution
 from .errors import DomainError, GridMismatch, InvalidGrid
 from .functional import derangetropy_kernel
-from .numerics import cumulative_integral
+from .numerics import _cumulative_trapezoid, _trapezoid, cumulative_integral
 
 # slack on the unit-mass and cdf-range checks; renormalization makes the
 # stored arrays exact to rounding, so this only has to absorb float noise
@@ -39,13 +40,15 @@ class GridFunction:
     level: int
     prenorm_mass: float = 1.0
 
-    def validate(self) -> None:
+    def validate(self) -> np.ndarray:
+        """Check every invariant of the level; return its spacings np.diff(xs)."""
         xs, density, cdf = self.xs, self.density, self.cdf
         if xs.ndim != 1 or xs.shape != density.shape or xs.shape != cdf.shape:
             raise InvalidGrid("xs, density, cdf must be matching 1-d arrays")
         if xs.size < 2:
             raise InvalidGrid("grid needs at least two nodes")
-        if np.any(np.diff(xs) <= 0.0):
+        dx = np.diff(xs)
+        if np.any(dx <= 0.0):
             raise InvalidGrid("grid must be strictly increasing")
         if not (np.all(np.isfinite(density)) and np.all(np.isfinite(cdf))):
             raise InvalidGrid("density or cdf contains non-finite values")
@@ -55,11 +58,12 @@ class GridFunction:
             raise InvalidGrid("cdf must be nondecreasing")
         if abs(float(cdf[0])) > _MASS_TOL or abs(float(cdf[-1]) - 1.0) > _MASS_TOL:
             raise InvalidGrid("cdf must run from 0 to 1")
-        mass = float(np.trapezoid(density, xs))
+        mass = _trapezoid(density, dx)
         if abs(mass - 1.0) > _MASS_TOL:
             raise InvalidGrid(f"density mass {mass!r} is not 1 within {_MASS_TOL}")
         if self.level < 0:
             raise InvalidGrid("level must be nonnegative")
+        return dx
 
     def cdf_at(self, t: float) -> float:
         return float(np.interp(t, self.xs, self.cdf))
@@ -106,7 +110,7 @@ def discretize(d: Distribution, n_points: int, tail_eps: float) -> GridFunction:
     density = np.asarray(d.pdf(xs), dtype=float)
     if not np.all(np.isfinite(density)):
         raise InvalidGrid("pdf is not finite on the truncated grid")
-    mass = float(np.trapezoid(density, xs))
+    mass = _trapezoid(density, np.diff(xs))
     if not (mass > 0.0 and math.isfinite(mass)):
         raise InvalidGrid(f"sampled density has mass {mass!r}")
     density = density / mass
@@ -117,14 +121,14 @@ def discretize(d: Distribution, n_points: int, tail_eps: float) -> GridFunction:
 
 def apply_derangetropy(g: GridFunction) -> GridFunction:
     """One application of the operator: reweight by the kernel, renormalize."""
-    g.validate()
-    weights = derangetropy_kernel(np.clip(g.cdf, 0.0, 1.0))
-    raw = weights * g.density
-    prenorm = float(np.trapezoid(raw, g.xs))
+    dx = g.validate()
+    density = derangetropy_kernel(np.clip(g.cdf, 0.0, 1.0))
+    density *= g.density
+    prenorm = _trapezoid(density, dx)
     if not (prenorm > 0.0 and math.isfinite(prenorm)):
         raise InvalidGrid(f"reweighted density has mass {prenorm!r}")
-    density = raw / prenorm
-    cdf = cumulative_integral(g.xs, density)
+    density /= prenorm
+    cdf = _cumulative_trapezoid(density, dx)
     cdf = np.clip(cdf / cdf[-1], 0.0, 1.0)
     return GridFunction(xs=g.xs, density=density, cdf=cdf, level=g.level + 1, prenorm_mass=prenorm)
 
@@ -151,8 +155,9 @@ def convergence_metrics(g: GridFunction, delta: float, center: float | None = No
     med = g.median()
     if center is None:
         center = med
-    mean = float(np.trapezoid(g.xs * g.density, g.xs))
-    variance = float(np.trapezoid((g.xs - mean) ** 2 * g.density, g.xs))
+    dx = np.diff(g.xs)
+    mean = _trapezoid(g.xs * g.density, dx)
+    variance = _trapezoid((g.xs - mean) ** 2 * g.density, dx)
     iqr = g.quantile(0.75) - g.quantile(0.25)
     central = g.cdf_at(center + delta) - g.cdf_at(center - delta)
     return ConvergenceMetrics(
@@ -181,4 +186,4 @@ def l2_distance(g1: GridFunction, g2: GridFunction) -> float:
     xs = np.linspace(lo, hi, n)
     d1 = np.interp(xs, g1.xs, g1.density)
     d2 = np.interp(xs, g2.xs, g2.density)
-    return float(np.sqrt(np.trapezoid((d1 - d2) ** 2, xs)))
+    return math.sqrt(_trapezoid((d1 - d2) ** 2, np.diff(xs)))

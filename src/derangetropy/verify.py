@@ -22,6 +22,7 @@ from .distributions import (
 )
 from .errors import DomainError, SymmetryProbeFailed
 from .functional import (
+    SCALE,
     derangetropy_derivative,
     derangetropy_kernel,
     derangetropy_profile,
@@ -85,13 +86,8 @@ def _label(d: Distribution) -> str:
 
 
 def appendix_integrand(z):
-    """sin(pi*z) * z^z * (1-z)^(1-z), the integrand whose [0,1] integral is pi*e/24."""
-    arr = np.asarray(z, dtype=float)
-    scalar = arr.ndim == 0
-    safe_p = np.where(arr > 0.0, arr, 1.0)
-    safe_q = np.where(arr < 1.0, 1.0 - arr, 1.0)
-    val = np.sin(np.pi * arr) * np.power(safe_p, arr) * np.power(safe_q, 1.0 - arr)
-    return float(val) if scalar else val
+    """sin(pi*z) * z^z * (1-z)^(1-z), whose [0,1] integral is pi*e/24: the library kernel over SCALE."""
+    return derangetropy_kernel(z) / SCALE
 
 
 def verify_appendix_constant(spec: QuadratureSpec | None = None, tolerance: float = 1e-8) -> VerificationReport:

@@ -282,6 +282,18 @@ class TestConfigAndErrors:
         assert code == 2
         assert "pionts" in err
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"points": "abc"}, {"points": None}, {"delta": "x"}, {"dist": 3}, {"points": 1e999}, {"out": 3}],
+    )
+    def test_wrong_typed_config_value(self, capsys, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = _run(capsys, ["recurse", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_usage_error(self, capsys):
         code, _, err = _run(capsys, ["eval", "--no-such-flag"])
         assert code == 2

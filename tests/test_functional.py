@@ -91,10 +91,34 @@ class TestKernel:
         assert np.allclose(out, out[::-1], atol=1e-14)
         assert np.all(out >= 0.0)
 
-    @pytest.mark.parametrize("p", [-0.01, 1.01])
+    @pytest.mark.parametrize("p", [-0.01, 1.01, math.nan, math.inf, -math.inf, -1e-12, 1.0 + 1e-12])
     def test_domain(self, p):
         with pytest.raises(DomainError):
             derangetropy_kernel(p)
+
+    def test_domain_in_array(self):
+        with pytest.raises(DomainError):
+            derangetropy_kernel(np.array([0.5, math.nan, 0.25]))
+
+    def test_scalar_in_float_out(self):
+        assert type(derangetropy_kernel(0.3)) is float
+        assert type(derangetropy_kernel(np.float64(0.0))) is float
+
+    def test_matches_mpmath_at_50_digits(self):
+        import mpmath
+
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        scale = mp.mpf(24) / (mp.pi * mp.e)
+        rng = np.random.default_rng(20240923)
+        ps = np.concatenate([[1e-300, 1e-17, 1e-9, 0.25, 0.5, 0.75, 0.999], rng.uniform(0.0, 0.999, 2000)])
+        got = derangetropy_kernel(ps)
+        worst = 0.0
+        for p, g in zip(ps.tolist(), got.tolist()):
+            F = mp.mpf(p)
+            ref = scale * mp.sin(mp.pi * F) * F**F * (1 - F) ** (1 - F)
+            worst = max(worst, float(abs((mp.mpf(g) - ref) / ref)))
+        assert worst <= 1e-13
 
 
 class TestPointEvaluation:

@@ -171,6 +171,16 @@ class TestCumulativeIntegral:
 
         assert defect(2001) < 4e-7 < defect(1001)
 
+    def test_matches_scipy_on_nonuniform_grid(self):
+        from scipy.integrate import cumulative_trapezoid
+
+        rng = np.random.default_rng(7)
+        xs = np.cumsum(rng.uniform(1e-3, 1.0, 5001))
+        ys = rng.uniform(0.0, 3.0, 5001)
+        out = cumulative_integral(xs, ys)
+        assert out[0] == 0.0
+        np.testing.assert_allclose(out, cumulative_trapezoid(ys, xs, initial=0.0), rtol=1e-14, atol=0.0)
+
     def test_shape_mismatch(self):
         with pytest.raises(GridMismatch):
             cumulative_integral([0.0, 1.0], [1.0, 1.0, 1.0])

@@ -145,6 +145,18 @@ class TestIterate:
         assert [g.level for g in out] == [0, 1, 2, 3]
         assert out[0] is g0
 
+    @pytest.mark.parametrize("d", ZOO, ids=_ids)
+    def test_ten_levels_valid_and_match_chained_apply(self, d):
+        levels = iterate(_grid(d), 10)
+        chained = levels[0]
+        for g in levels[1:]:
+            g.validate()
+            chained = apply_derangetropy(chained)
+            assert g.level == chained.level
+            assert g.prenorm_mass == chained.prenorm_mass
+            assert np.array_equal(g.density, chained.density)
+            assert np.array_equal(g.cdf, chained.cdf)
+
     def test_zero_rounds_rejected(self):
         with pytest.raises(DomainError):
             iterate(_grid(Uniform(0.0, 1.0)), 0)

@@ -46,11 +46,11 @@ class TestAppendixConstant:
         assert APPENDIX_CONSTANT == pytest.approx(0.35582225927806527, abs=1e-16)
 
     def test_integrand_midpoint(self):
-        # sin(pi/2) * (1/2)^(1/2) * (1/2)^(1/2) with both powers exact
+        # sin(pi/2) * (1/2)^(1/2) * (1/2)^(1/2) = 1/2, to a rounding or two
         assert appendix_integrand(0.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_integrand_edges(self):
-        # plain sin(pi z) at the edges, so only zero to roundoff at z=1
+        # the kernel zeroes both edges exactly; z=1 keeps the looser bound
         assert appendix_integrand(0.0) == 0.0
         assert appendix_integrand(1.0) == pytest.approx(0.0, abs=1e-15)
 

@@ -17,10 +17,10 @@ import numpy as np
 
 from .distributions import Tabulated, from_spec
 from .errors import DerangetropyError, DomainError, ParseError
-from .functional import SCALE, bernoulli_entropy, derangetropy_profile
+from .functional import derangetropy_profile, energy_decomposition
 from .numerics import QuadratureSpec
 from .recursion import convergence_metrics, discretize, iterate
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 _ENV_TOL = "DERANGETROPY_SEED_TOL"
 
@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--delta", type=float, help="half-width for central mass (default: 5%% of grid span)")
 
     p_ver = sub.add_parser("verify", help="run a verification suite, report JSON")
-    p_ver.add_argument("--suite", choices=("all", "normalization", "appendix", "mode", "ode", "equilibrium"))
+    p_ver.add_argument("--suite", choices=SUITES)
     add_common(p_ver, with_grid=False)
     return parser
 
@@ -100,11 +100,15 @@ def _resolve(args: argparse.Namespace) -> dict:
             cfg[key] = val
 
     for key, kind in (("points", int), ("tail_eps", float), ("levels", int), ("delta", float)):
+        val = cfg[key]
         try:
-            if cfg[key] is not None or key != "delta":
-                cfg[key] = kind(cfg[key])
+            # bool is an int subclass, and int() would truncate 2.7 to 2
+            if isinstance(val, bool) or (kind is int and isinstance(val, float) and not val.is_integer()):
+                raise TypeError
+            if val is not None or key != "delta":
+                cfg[key] = kind(val)
         except (TypeError, ValueError, OverflowError):
-            raise ParseError(f"{key} must be a number, got {cfg[key]!r}") from None
+            raise ParseError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {val!r}") from None
     for key in ("dist", "out"):
         # open() takes an int `out` as a file descriptor and would write to it
         if not isinstance(cfg[key], str) and not (key == "out" and cfg[key] is None):
@@ -118,8 +122,9 @@ def _resolve(args: argparse.Namespace) -> dict:
     if cfg["delta"] is not None:
         if not cfg["delta"] > 0.0:
             raise DomainError(f"--delta must be positive, got {cfg['delta']}")
-    if cfg["format"] not in ("csv", "json"):
-        raise DomainError(f"--format must be csv or json, got {cfg['format']!r}")
+    for key, names in (("format", ("csv", "json")), ("suite", SUITES)):
+        if cfg[key] not in names:
+            raise DomainError(f"--{key} must be one of {', '.join(names)}, got {cfg[key]!r}")
     return cfg
 
 
@@ -184,20 +189,10 @@ def _cmd_eval(d, cfg) -> str:
 
 def _cmd_energy(d, cfg) -> str:
     xs = _grid(d, cfg)
-    f = np.asarray(d.pdf(xs), dtype=float)
-    F = np.asarray(d.cdf(xs), dtype=float)
-    if np.any(f <= 0.0) or np.any(F <= 0.0) or np.any(F >= 1.0):
-        raise DomainError(
-            "energy decomposition needs f > 0 and F strictly inside (0,1) on the whole grid"
-        )
-    sin_pf = np.sin(np.pi * F)
-    hb = bernoulli_entropy(F)
-    e_osc = -np.log(sin_pf)
-    e_struct = hb - np.log(f)
-    e_total = -np.log(SCALE * sin_pf * np.exp(-hb) * f)
+    e = energy_decomposition(d, xs)
     rows = [
         {"x": x, "e_oscillatory": eo, "e_structural": es, "e_total": et}
-        for x, eo, es, et in zip(xs, e_osc, e_struct, e_total)
+        for x, eo, es, et in zip(xs, e.e_oscillatory, e.e_structural, e.e_total)
     ]
     if cfg["format"] == "json":
         return _render_json([{k: float(v) for k, v in r.items()} for r in rows])

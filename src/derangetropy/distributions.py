@@ -273,8 +273,10 @@ class Arcsin(Distribution):
     def pdf_derivative(self, x):
         arr, scalar = _prep(x)
         _check_interior(arr, self.a, self.b)
-        s = np.sqrt((arr - self.a) * (self.b - arr))
-        return _ret(-(self.a + self.b - 2.0 * arr) / (2.0 * math.pi * s ** 3), scalar)
+        prod = (arr - self.a) * (self.b - arr)
+        # prod * sqrt(prod), not sqrt(prod) ** 3: numpy rounds pow on arrays and
+        # on scalars differently, and an array must give what its points give
+        return _ret(-(self.a + self.b - 2.0 * arr) / (2.0 * math.pi * (prod * np.sqrt(prod))), scalar)
 
     def quantile(self, p):
         p = self._check_p(p)

@@ -103,21 +103,18 @@ def derangetropy_kernel(F):
 def derangetropy(d: Distribution, x: float) -> DerangetropyValue:
     """Evaluate rho at a point, returning the ingredients along with it."""
     x = float(x)
-    f = float(d.pdf(x))
-    F = float(d.cdf(x))
-    w = derangetropy_kernel(F)
-    # w == 0 forces rho = 0 even against an infinite density spike
-    rho = 0.0 if w == 0.0 else w * f
-    return DerangetropyValue(x=x, f=f, F=F, rho=rho)
+    f, F, rho = derangetropy_profile(d, x)
+    return DerangetropyValue(x=x, f=float(f), F=float(F), rho=float(rho))
 
 
 def derangetropy_profile(d: Distribution, xs):
-    """Vectorized evaluation over a grid; returns (f, F, rho) arrays."""
+    """Vectorized evaluation over a grid; returns (f, F, rho) arrays (0-d for a scalar)."""
     xs = np.asarray(xs, dtype=float)
     f = np.asarray(d.pdf(xs), dtype=float)
     F = np.asarray(d.cdf(xs), dtype=float)
     w = derangetropy_kernel(F)
-    rho = np.where(w == 0.0, 0.0, w * f)
+    # w == 0 forces rho = 0 even against an infinite density spike, without forming 0 * inf
+    rho = np.multiply(w, f, out=np.zeros(f.shape), where=w != 0.0)
     return f, F, rho
 
 
@@ -146,18 +143,25 @@ def derangetropy_gamma_form(d: Distribution, x: float) -> float:
     return (24.0 / math.e) * psi * f / math.exp(ln_gamma(F) + ln_gamma(1.0 - F))
 
 
-def _interior_point(d: Distribution, x: float) -> tuple[float, float, float]:
-    f = float(d.pdf(x))
-    F = float(d.cdf(x))
-    if F <= 0.0 or F >= 1.0:
-        raise DomainError(f"needs F strictly inside (0,1), got F={F!r} at x={x!r}")
-    if f <= 0.0:
-        raise DomainError(f"needs f(x) > 0, got f={f!r} at x={x!r}")
-    return x, f, F
+def _interior_point(d: Distribution, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f and F at x (scalar or array); DomainError unless every F is in (0,1) and every f > 0."""
+    f = np.asarray(d.pdf(x), dtype=float)
+    F = np.asarray(d.cdf(x), dtype=float)
+    # comparisons with NaN are False, so NaN is rejected too
+    ok = (F > 0.0) & (F < 1.0) & (f > 0.0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise DomainError(f"needs F in (0,1) and f > 0, got F={F.item(i)!r}, f={f.item(i)!r} at x={x.item(i)!r}")
+    return f, F
 
 
-def derangetropy_derivative(d: Distribution, x: float) -> float:
-    """Closed-form d(rho)/dx at a point with F in (0,1) and f > 0.
+def _log_slope(f: np.ndarray, F: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """rho'/rho = f*(pi*cot(pi*F) + log(F/(1-F))) + f'/f, element-wise, with cot(t) = cos(t)/sin(t)."""
+    return f * (np.pi * (np.cos(np.pi * F) / np.sin(np.pi * F)) + np.log(F / (1.0 - F))) + fp / f
+
+
+def derangetropy_derivative(d: Distribution, x):
+    """Closed-form d(rho)/dx where F is in (0,1) and f > 0, at a point or an array of points.
 
     Differentiating rho(x) and dividing out rho gives
 
@@ -165,39 +169,40 @@ def derangetropy_derivative(d: Distribution, x: float) -> float:
 
     The chain rule puts the factor f(x) on the two F-terms (dF/dx = f); a
     rendition without that factor is only valid when f is identically 1.
+    Every element is evaluated in one pass; DomainError if any of them lies
+    outside the interior. A scalar x gives a float.
     """
-    x, f, F = _interior_point(d, float(x))
-    fp = float(d.pdf_derivative(x))
-    rho = derangetropy_kernel(F) * f
-    cot = math.cos(math.pi * F) / math.sin(math.pi * F)
-    bracket = f * (math.pi * cot + math.log(F / (1.0 - F))) + fp / f
-    return rho * bracket
+    x = np.asarray(x, dtype=float)
+    f, F = _interior_point(d, x)
+    rho_prime = derangetropy_kernel(F) * f * _log_slope(f, F, d.pdf_derivative(x))
+    return float(rho_prime) if x.ndim == 0 else rho_prime
 
 
-def total_energy_derivative(d: Distribution, x: float) -> float:
-    """d/dx of -log rho, i.e. -rho'/rho; zero exactly at energy equilibria."""
-    x, f, F = _interior_point(d, float(x))
-    fp = float(d.pdf_derivative(x))
-    cot = math.cos(math.pi * F) / math.sin(math.pi * F)
-    return -(f * (math.pi * cot + math.log(F / (1.0 - F))) + fp / f)
+def total_energy_derivative(d: Distribution, x):
+    """d/dx of -log rho, i.e. -rho'/rho; zero exactly at energy equilibria.
+
+    Takes a point or an array of points, under the same conditions as
+    derangetropy_derivative; a scalar x gives a float.
+    """
+    x = np.asarray(x, dtype=float)
+    f, F = _interior_point(d, x)
+    slope = -_log_slope(f, F, d.pdf_derivative(x))
+    return float(slope) if x.ndim == 0 else slope
 
 
-def energy_decomposition(d: Distribution, x: float) -> EnergyBreakdown:
-    """Split -log rho into oscillatory and structural parts at one point.
+def energy_decomposition(d: Distribution, x) -> EnergyBreakdown:
+    """Split -log rho into oscillatory and structural parts, at a point or an array of points.
 
     e_oscillatory = -log sin(pi*F) diverges at both support ends and
     vanishes at the median; e_structural = H_B(F) - log f carries the
-    distribution-shape information.
+    distribution-shape information. DomainError if any point has F outside
+    (0,1) or f <= 0. A scalar x gives float fields, an array x array fields.
     """
-    x, f, F = _interior_point(d, float(x))
-    sin_pf = math.sin(math.pi * F)
-    e_osc = -math.log(sin_pf)
-    e_struct = bernoulli_entropy(F) - math.log(f)
-    rho = SCALE * sin_pf * math.exp(-bernoulli_entropy(F)) * f
-    e_total = -math.log(rho)
-    return EnergyBreakdown(
-        e_oscillatory=e_osc,
-        e_structural=e_struct,
-        e_total=e_total,
-        constant_c=ENERGY_CONSTANT,
-    )
+    x = np.asarray(x, dtype=float)
+    f, F = _interior_point(d, x)
+    sin_pf = np.sin(np.pi * F)
+    hb = bernoulli_entropy(F)
+    parts = (-np.log(sin_pf), hb - np.log(f), -np.log(SCALE * sin_pf * np.exp(-hb) * f))
+    if x.ndim == 0:
+        parts = tuple(float(v) for v in parts)
+    return EnergyBreakdown(*parts, constant_c=ENERGY_CONSTANT)

@@ -115,17 +115,27 @@ def integrate(f: Callable, a: float, b: float, spec: QuadratureSpec | None = Non
 
 
 def _gauss_legendre_composite(f: Callable, a: float, b: float, spec: QuadratureSpec) -> float:
+    """Greedy panel splitting with a 12-node error estimate beside each 24-node value.
+
+    f is sampled once per step: once on the 12 + 24 nodes of [a, b] (36
+    points), then once per split on the nodes of both halves (72 points), so
+    it is called 1 + splits times.
+    """
     xs_lo, ws_lo = _gl_nodes(_GL_LOW)
     xs_hi, ws_hi = _gl_nodes(_GL_HIGH)
+    nodes = np.concatenate([xs_lo, xs_hi])
 
-    def panel(lo: float, hi: float) -> tuple[float, float]:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        v_lo = half * float(np.dot(ws_lo, _sample(f, mid + half * xs_lo)))
-        v_hi = half * float(np.dot(ws_hi, _sample(f, mid + half * xs_hi)))
-        return v_hi, abs(v_hi - v_lo)
+    def panels(*bounds: tuple[float, float]) -> list[tuple[float, float]]:
+        halves = [0.5 * (hi - lo) for lo, hi in bounds]
+        xs = np.concatenate([0.5 * (lo + hi) + half * nodes for (lo, hi), half in zip(bounds, halves)])
+        out = []
+        for y, half in zip(_sample(f, xs).reshape(len(bounds), nodes.size), halves):
+            v_lo = half * float(np.dot(ws_lo, y[:_GL_LOW]))
+            v_hi = half * float(np.dot(ws_hi, y[_GL_LOW:]))
+            out.append((v_hi, abs(v_hi - v_lo)))
+        return out
 
-    value, err = panel(a, b)
+    ((value, err),) = panels((a, b))
     # heap entries: (-error, sequence, lo, hi, value); the sequence number
     # breaks ties deterministically.
     heap = [(-err, 0, a, b, value)]
@@ -145,8 +155,7 @@ def _gauss_legendre_composite(f: Callable, a: float, b: float, spec: QuadratureS
                 f"gauss_legendre_composite: panel [{lo!r}, {hi!r}] cannot be split further"
             )
         total_err += neg_err
-        v_l, e_l = panel(lo, mid)
-        v_r, e_r = panel(mid, hi)
+        (v_l, e_l), (v_r, e_r) = panels((lo, mid), (mid, hi))
         heapq.heappush(heap, (-e_l, seq, lo, mid, v_l))
         heapq.heappush(heap, (-e_r, seq + 1, mid, hi, v_r))
         seq += 2
@@ -348,21 +357,28 @@ def find_root(
             d = e = b - a
 
 
-def central_difference(f: Callable[[float], float], x: float, h: float, order: int = 1) -> float:
-    """Symmetric finite difference of order 1 or 2 with step h."""
+def central_difference(f: Callable, x, h: float, order: int = 1):
+    """Symmetric finite difference of order 1 or 2 with step h.
+
+    x may be a point or an array of points: f is called once per offset, on
+    x + h, x - h and (order 2) x itself, so it must accept whatever x is. Every
+    sample is checked to be finite before any difference is taken. A scalar x
+    gives a float.
+    """
     if not (h > 0.0 and math.isfinite(h)):
         raise DomainError("step h must be positive and finite")
     if order not in (1, 2):
         raise DomainError(f"order must be 1 or 2, got {order!r}")
-    f_plus = float(f(x + h))
-    f_minus = float(f(x - h))
+    x = np.asarray(x, dtype=float)
+    samples = [np.asarray(f(x + h), dtype=float), np.asarray(f(x - h), dtype=float)]
+    if order == 2:
+        samples.append(np.asarray(f(x), dtype=float))
+    for v in samples:
+        bad = np.broadcast_to(~np.isfinite(v), x.shape)
+        if bad.any():
+            raise NonFiniteSample(f"non-finite sample in central difference at x={x.item(int(np.argmax(bad)))!r}")
     if order == 1:
-        vals = (f_plus, f_minus)
-        result = (f_plus - f_minus) / (2.0 * h)
+        result = (samples[0] - samples[1]) / (2.0 * h)
     else:
-        f_mid = float(f(x))
-        vals = (f_plus, f_mid, f_minus)
-        result = (f_plus - 2.0 * f_mid + f_minus) / (h * h)
-    if not all(math.isfinite(v) for v in vals):
-        raise NonFiniteSample(f"non-finite sample in central difference at x={x!r}")
-    return result
+        result = (samples[0] - 2.0 * samples[2] + samples[1]) / (h * h)
+    return float(result) if x.ndim == 0 else result

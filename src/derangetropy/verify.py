@@ -7,6 +7,7 @@ differences, root finding), never against the code path being verified.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +36,9 @@ APPENDIX_CONSTANT = math.pi * math.e / 24.0
 
 # curvature of the total energy at the uniform equilibrium, pi^2 - 4
 UNIFORM_EQUILIBRIUM_CURVATURE = math.pi ** 2 - 4.0
+
+# names run_suite accepts
+SUITES = ("all", "normalization", "appendix", "mode", "ode", "equilibrium")
 
 # classifications with |second derivative| below this are reported as degenerate
 _CURVATURE_DEADBAND = 1e-6
@@ -172,17 +176,6 @@ def verify_mode_at_median(
     )
 
 
-def _uniform_rho(F):
-    # uniform(0,1) case: f = 1, so rho as a function of F is the kernel itself
-    return derangetropy_kernel(F)
-
-
-def _uniform_rho_prime(F: float) -> float:
-    w = derangetropy_kernel(F)
-    cot = math.cos(math.pi * F) / math.sin(math.pi * F)
-    return w * (math.pi * cot + math.log(F / (1.0 - F)))
-
-
 def verify_ode_uniform(
     grid_f=None,
     fd_step: float = 1e-5,
@@ -208,18 +201,18 @@ def verify_ode_uniform(
     if not (0.0 < fd_step < 1e-2):
         raise DomainError(f"fd_step must be a small positive number, got {fd_step!r}")
 
-    rho = _uniform_rho(grid_f)
-    rho_prime = np.array([_uniform_rho_prime(F) for F in grid_f])
-    rho_second = np.array(
-        [central_difference(_uniform_rho_prime, F, fd_step, order=1) for F in grid_f]
-    )
+    # on uniform(0,1), f = 1 and F = x: rho as a function of F is the kernel itself
+    flat = Uniform(0.0, 1.0)
+    rho = derangetropy_kernel(grid_f)
+    rho_prime = derangetropy_derivative(flat, grid_f)
+    rho_second = central_difference(lambda F: derangetropy_derivative(flat, F), grid_f, fd_step, order=1)
     L = np.arctanh(1.0 - 2.0 * grid_f)
     coeff = math.pi ** 2 - 1.0 / (grid_f * (1.0 - grid_f)) + 4.0 * L ** 2
     residual_field = rho_second + 4.0 * L * rho_prime + coeff * rho
     norm_residual = float(np.max(np.abs(residual_field)) / np.max(np.abs(rho)))
 
     slope_h = 1e-8
-    slope = (_uniform_rho(slope_h) - 0.0) / slope_h
+    slope = (derangetropy_kernel(slope_h) - 0.0) / slope_h
     slope_target = 24.0 / math.e
     slope_defect = abs(slope - slope_target)
 
@@ -261,21 +254,12 @@ def find_equilibria(
     if fd_step is None:
         fd_step = 1e-4 * width
 
-    def energy_prime(x: float) -> float:
-        return total_energy_derivative(d, x)
-
+    energy_prime = functools.partial(total_energy_derivative, d)
     xs = np.linspace(lo, hi, n_brackets + 1)
-    vals = np.array([energy_prime(float(x)) for x in xs])
-    roots: list[float] = []
-    for i in range(n_brackets):
-        a, b = float(xs[i]), float(xs[i + 1])
-        fa, fb = float(vals[i]), float(vals[i + 1])
-        if fa == 0.0:
-            roots.append(a)
-        elif fa * fb < 0.0:
-            roots.append(find_root(energy_prime, a, b, tol=root_tol))
-    if float(vals[-1]) == 0.0:
-        roots.append(float(xs[-1]))
+    vals = total_energy_derivative(d, xs)
+    roots = xs[vals == 0.0].tolist()
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        roots.append(find_root(energy_prime, float(xs[i]), float(xs[i + 1]), tol=root_tol))
 
     merged: list[float] = []
     for r in sorted(roots):
@@ -309,8 +293,9 @@ def _equilibrium_reports(spec: QuadratureSpec | None = None) -> list[Verificatio
     reports = []
 
     # symmetric members: the single interior equilibrium sits at the median
-    for d in (Uniform(0.0, 1.0), Normal(0.0, 1.0), Semicircle(-1.0, 1.0), Arcsin(0.0, 1.0)):
-        eqs = find_equilibria(d)
+    symmetric = (Uniform(0.0, 1.0), Normal(0.0, 1.0), Semicircle(-1.0, 1.0), Arcsin(0.0, 1.0))
+    found = {d: find_equilibria(d) for d in symmetric}
+    for d, eqs in found.items():
         med = d.median()
         if eqs:
             nearest = min(eqs, key=lambda e: abs(e.x - med))
@@ -335,7 +320,7 @@ def _equilibrium_reports(spec: QuadratureSpec | None = None) -> list[Verificatio
         )
 
     # curvature at the uniform equilibrium has a closed form, pi^2 - 4
-    eqs = find_equilibria(Uniform(0.0, 1.0))
+    eqs = found[Uniform(0.0, 1.0)]
     if eqs:
         e = min(eqs, key=lambda q: abs(q.x - 0.5))
         reports.append(
@@ -352,35 +337,22 @@ def _equilibrium_reports(spec: QuadratureSpec | None = None) -> list[Verificatio
     # asymmetric member: self-consistency, rho' vanishes where E' does
     expo = Exponential(1.0)
     eqs = find_equilibria(expo)
-    if eqs:
-        e = eqs[0]
-        reports.append(
-            VerificationReport.build(
-                "equilibrium_self_consistency:exponential(1.0)",
-                residual=abs(derangetropy_derivative(expo, e.x)),
-                tolerance=1e-8,
-                x=e.x,
-                classification=e.classification,
-                count=len(eqs),
-            )
+    reports.append(
+        VerificationReport.build(
+            "equilibrium_self_consistency:exponential(1.0)",
+            residual=abs(derangetropy_derivative(expo, eqs[0].x)) if eqs else math.inf,
+            tolerance=1e-8,
+            **({"x": eqs[0].x, "classification": eqs[0].classification} if eqs else {}),
+            count=len(eqs),
         )
-    else:
-        reports.append(
-            VerificationReport.build(
-                "equilibrium_self_consistency:exponential(1.0)",
-                residual=math.inf,
-                tolerance=1e-8,
-                count=0,
-            )
-        )
+    )
     return reports
 
 
 def run_suite(suite: str, spec: QuadratureSpec | None = None) -> list[VerificationReport]:
     """Run one named verification suite (or `all`) and return its reports."""
-    known = ("all", "normalization", "appendix", "mode", "ode", "equilibrium")
-    if suite not in known:
-        raise DomainError(f"unknown suite {suite!r}; known: {', '.join(known)}")
+    if suite not in SUITES:
+        raise DomainError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
     reports: list[VerificationReport] = []
     if suite in ("all", "appendix"):
         reports.append(verify_appendix_constant(spec))

@@ -294,6 +294,36 @@ class TestConfigAndErrors:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_unknown_config_suite(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "bogus"}))
+        code, out, err = _run(capsys, ["verify", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "bogus" in err
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"levels": 2.7}, {"points": 2001.5}, {"levels": True}, {"points": False}, {"tail_eps": True}, {"delta": True}],
+    )
+    def test_non_integer_or_bool_config_value(self, capsys, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = _run(capsys, ["recurse", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and next(iter(config)) in err
+
+    def test_integral_float_config_value(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"points": 301.0, "levels": 2.0}))
+        code, out, _ = _run(capsys, ["recurse", "--config", str(cfg)])
+        assert code == 0
+        _, rows = _csv_rows(out.split("\n\n")[0])
+        # level 0 is the seed grid
+        assert len(rows) == 3 * 301
+        assert {r["level"] for r in rows} == {"0", "1", "2"}
+
     def test_usage_error(self, capsys):
         code, _, err = _run(capsys, ["eval", "--no-such-flag"])
         assert code == 2

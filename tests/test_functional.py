@@ -212,6 +212,23 @@ class TestDerivative:
             with pytest.raises(DomainError):
                 derangetropy_derivative(d, x)
 
+    @pytest.mark.parametrize("d", ZOO, ids=_ids)
+    def test_array_matches_scalar_calls(self, d):
+        xs = np.array([d.quantile(p) for p in np.linspace(0.02, 0.98, 50)])
+        for fn in (derangetropy_derivative, total_energy_derivative):
+            got = fn(d, xs)
+            assert got.shape == xs.shape
+            want = [fn(d, float(x)) for x in xs]
+            assert all(type(w) is float for w in want)
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("fn", [derangetropy_derivative, total_energy_derivative])
+    def test_array_with_one_edge_point_rejected(self, fn):
+        d = Uniform(0.0, 1.0)
+        for edge in (0.0, 1.0):
+            with pytest.raises(DomainError):
+                fn(d, np.array([0.25, 0.5, edge, 0.75]))
+
     def test_total_energy_derivative_is_log_slope(self):
         d = Normal(0.0, 1.0)
         for x in (-1.0, -0.2, 0.4, 1.3):

@@ -107,6 +107,34 @@ class TestIntegrate:
 
         assert abs(integrate(f, 0.0, 1.0) - 1.0 / 3.0) < 1e-12
 
+    def test_one_integrand_call_per_refinement_step(self):
+        from scipy.integrate import quad
+
+        from derangetropy.verify import appendix_integrand
+
+        sizes = []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return appendix_integrand(x)
+
+        val = integrate(counted, 0.0, 1.0, QuadratureSpec(abs_tol=1e-12))
+        # the root panel takes 12 + 24 nodes, each later call both halves of a split
+        assert sizes[0] == 36 and len(sizes) > 1
+        assert all(n == 72 for n in sizes[1:])
+        assert abs(val - quad(appendix_integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-14)[0]) < 1e-12
+
+    def test_calls_are_one_plus_splits(self):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return np.sin(200.0 / (x + 0.01))
+
+        with pytest.raises(NonConvergence, match="after 7 panel splits"):
+            integrate(counted, 0.0, 1.0, QuadratureSpec(abs_tol=1e-14, max_subdivisions=7))
+        assert len(calls) == 1 + 7
+
     @given(
         alpha=st.floats(-10, 10, allow_nan=False),
         beta=st.floats(-10, 10, allow_nan=False),
@@ -309,3 +337,16 @@ class TestCentralDifference:
     def test_non_finite(self):
         with pytest.raises(NonFiniteSample):
             central_difference(lambda x: math.inf, 0.0, 1e-5, order=1)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_array_matches_scalar_loop(self, order):
+        xs = np.linspace(-2.0, 3.0, 41)
+        got = central_difference(np.sin, xs, 1e-4, order=order)
+        assert got.shape == xs.shape
+        assert got.tolist() == [central_difference(np.sin, float(x), 1e-4, order=order) for x in xs]
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_array_with_one_non_finite_sample(self, order):
+        xs = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(NonFiniteSample, match="x=0.7"):
+            central_difference(lambda x: np.where(np.abs(x - 0.7) < 1e-3, np.inf, x), xs, 1e-4, order=order)

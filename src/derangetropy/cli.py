@@ -1,8 +1,9 @@
 """Command-line surface: eval, energy, recurse, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error,
-3 numerical failure. All diagnostics go to stderr; data goes to stdout or
-the --out path, and identical configs produce byte-identical output.
+3 numerical failure or out of memory. All diagnostics go to stderr; data
+goes to stdout or the --out path, and identical configs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -19,10 +21,14 @@ from .distributions import Tabulated, from_spec
 from .errors import DerangetropyError, DomainError, ParseError
 from .functional import derangetropy_profile, energy_decomposition
 from .numerics import QuadratureSpec
-from .recursion import convergence_metrics, discretize, iterate
+from .recursion import ConvergenceMetrics, convergence_metrics, discretize, iterate
 from .verify import SUITES, run_suite
 
 _ENV_TOL = "DERANGETROPY_SEED_TOL"
+
+# the largest float64 array numpy can describe; np.linspace sizes its array
+# through a float, so points whose float rounds above it fail there too
+_MAX_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 _DEFAULTS = {
     "dist": "uniform:0,1",
@@ -115,13 +121,14 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ParseError(f"{key} must be a string, got {cfg[key]!r}")
     if cfg["points"] < 101:
         raise DomainError(f"--points must be at least 101, got {cfg['points']}")
+    if cfg["points"] > _MAX_POINTS or float(cfg["points"]) > _MAX_POINTS:
+        raise DomainError(f"--points must be at most {_MAX_POINTS}, got {cfg['points']}")
     if not 0.0 < cfg["tail_eps"] < 0.1:
         raise DomainError(f"--tail-eps must lie in (0, 0.1), got {cfg['tail_eps']}")
     if not 1 <= cfg["levels"] <= 10:
         raise DomainError(f"--levels must lie in [1, 10], got {cfg['levels']}")
-    if cfg["delta"] is not None:
-        if not cfg["delta"] > 0.0:
-            raise DomainError(f"--delta must be positive, got {cfg['delta']}")
+    if cfg["delta"] is not None and not (cfg["delta"] > 0.0 and math.isfinite(cfg["delta"])):
+        raise DomainError(f"--delta must be positive and finite, got {cfg['delta']}")
     for key, names in (("format", ("csv", "json")), ("suite", SUITES)):
         if cfg[key] not in names:
             raise DomainError(f"--{key} must be one of {', '.join(names)}, got {cfg[key]!r}")
@@ -141,19 +148,17 @@ def _quad_spec_from_env() -> QuadratureSpec | None:
     return QuadratureSpec(abs_tol=tol)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+def _table(columns: dict, fmt: str):
+    """One table from named equal-length columns: CSV text, or for JSON the row objects.
 
-
-def _render_csv(fieldnames: list[str], rows: list[dict]) -> str:
-    lines = [",".join(fieldnames)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[k]) for k in fieldnames))
-    return "\n".join(lines) + "\n"
+    Each column goes through .tolist() once, so every cell is a Python float
+    or int and prints as its shortest round-trip repr in either format.
+    """
+    names = list(columns)
+    rows = zip(*(np.asarray(col).tolist() for col in columns.values()))
+    if fmt == "json":
+        return [dict(zip(names, row)) for row in rows]
+    return "\n".join([",".join(names), *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
 def _render_json(payload) -> str:
@@ -178,25 +183,16 @@ def _make_dist(cfg):
 def _cmd_eval(d, cfg) -> str:
     xs = _grid(d, cfg)
     f, F, rho = derangetropy_profile(d, xs)
-    rows = [
-        {"x": x, "f": fv, "F": Fv, "rho": rv}
-        for x, fv, Fv, rv in zip(xs, f, F, rho)
-    ]
-    if cfg["format"] == "json":
-        return _render_json([{k: float(v) for k, v in r.items()} for r in rows])
-    return _render_csv(["x", "f", "F", "rho"], rows)
+    table = _table({"x": xs, "f": f, "F": F, "rho": rho}, cfg["format"])
+    return _render_json(table) if cfg["format"] == "json" else table
 
 
 def _cmd_energy(d, cfg) -> str:
     xs = _grid(d, cfg)
     e = energy_decomposition(d, xs)
-    rows = [
-        {"x": x, "e_oscillatory": eo, "e_structural": es, "e_total": et}
-        for x, eo, es, et in zip(xs, e.e_oscillatory, e.e_structural, e.e_total)
-    ]
-    if cfg["format"] == "json":
-        return _render_json([{k: float(v) for k, v in r.items()} for r in rows])
-    return _render_csv(["x", "e_oscillatory", "e_structural", "e_total"], rows)
+    columns = {"x": xs, "e_oscillatory": e.e_oscillatory, "e_structural": e.e_structural, "e_total": e.e_total}
+    table = _table(columns, cfg["format"])
+    return _render_json(table) if cfg["format"] == "json" else table
 
 
 def _cmd_recurse(d, cfg) -> str:
@@ -207,37 +203,18 @@ def _cmd_recurse(d, cfg) -> str:
     m0 = g0.median()
     metrics = [convergence_metrics(g, delta, center=m0) for g in levels]
 
-    grid_rows = [
-        {"x": x, "density": dv, "cdf": cv, "level": g.level}
-        for g in levels
-        for x, dv, cv in zip(g.xs, g.density, g.cdf)
-    ]
-    metric_rows = [
-        {
-            "level": m.level,
-            "median": m.median,
-            "variance": m.variance,
-            "iqr": m.iqr,
-            "central_mass": m.central_mass,
-        }
-        for m in metrics
-    ]
+    grids = {
+        "x": np.concatenate([g.xs for g in levels]),
+        "density": np.concatenate([g.density for g in levels]),
+        "cdf": np.concatenate([g.cdf for g in levels]),
+        "level": np.repeat([g.level for g in levels], [g.xs.size for g in levels]),
+    }
+    grid_table = _table(grids, cfg["format"])
+    metric_columns = {f.name: [getattr(m, f.name) for m in metrics] for f in fields(ConvergenceMetrics)}
+    metric_table = _table(metric_columns, cfg["format"])
     if cfg["format"] == "json":
-        payload = {
-            "grids": [
-                {"x": float(r["x"]), "density": float(r["density"]), "cdf": float(r["cdf"]), "level": int(r["level"])}
-                for r in grid_rows
-            ],
-            "metrics": [
-                {"level": int(r["level"]), "median": float(r["median"]), "variance": float(r["variance"]),
-                 "iqr": float(r["iqr"]), "central_mass": float(r["central_mass"])}
-                for r in metric_rows
-            ],
-        }
-        return _render_json(payload)
-    grid_csv = _render_csv(["x", "density", "cdf", "level"], grid_rows)
-    metrics_csv = _render_csv(["level", "median", "variance", "iqr", "central_mass"], metric_rows)
-    return grid_csv + "\n" + metrics_csv
+        return _render_json({"grids": grid_table, "metrics": metric_table})
+    return grid_table + "\n" + metric_table
 
 
 def _cmd_verify(cfg) -> tuple[str, int]:
@@ -271,9 +248,6 @@ def main(argv=None) -> int:
         d = _make_dist(cfg) if spec_needed else None
         if args.command == "verify":
             _quad_spec_from_env()  # surface env mistakes as usage errors up front
-    except (ParseError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DerangetropyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -289,6 +263,9 @@ def main(argv=None) -> int:
             text, code = _cmd_verify(cfg)
     except DerangetropyError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
     try:

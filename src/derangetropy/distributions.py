@@ -38,6 +38,18 @@ def _check_interior(x, lo: float, hi: float) -> None:
         )
 
 
+def _linear_cdf_quantile(xs: np.ndarray, cdf: np.ndarray, p) -> float:
+    """Inverse of the piecewise-linear cdf through (xs, cdf); flat stretches resolve leftward."""
+    p = Distribution._check_p(p)
+    idx = int(np.searchsorted(cdf, p, side="left"))
+    idx = min(max(idx, 1), cdf.size - 1)
+    rise = cdf[idx] - cdf[idx - 1]
+    t = 0.0 if rise <= 0.0 else (p - cdf[idx - 1]) / rise
+    # a cdf that does not start at 0 or end at 1 would put t outside [0, 1]
+    t = min(max(t, 0.0), 1.0)
+    return float(xs[idx - 1] + t * (xs[idx] - xs[idx - 1]))
+
+
 class Distribution(ABC):
     """Common interface consumed by the functional, recursion, and verify layers."""
 
@@ -335,13 +347,7 @@ class Tabulated(Distribution):
         return _ret(np.asarray(slope, dtype=float), scalar)
 
     def quantile(self, p):
-        p = self._check_p(p)
-        cn = self._cdf_nodes
-        idx = int(np.searchsorted(cn, p, side="left"))
-        idx = min(max(idx, 1), cn.size - 1)
-        rise = cn[idx] - cn[idx - 1]
-        t = 0.0 if rise <= 0.0 else (p - cn[idx - 1]) / rise
-        return float(self.xs[idx - 1] + t * (self.xs[idx] - self.xs[idx - 1]))
+        return _linear_cdf_quantile(self.xs, self._cdf_nodes, p)
 
 
 def load_tabulated(path: str) -> Tabulated:

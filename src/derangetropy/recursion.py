@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, _linear_cdf_quantile
 from .errors import DomainError, GridMismatch, InvalidGrid
 from .functional import derangetropy_kernel
 from .numerics import _cumulative_trapezoid, _trapezoid, cumulative_integral
@@ -70,16 +70,7 @@ class GridFunction:
 
     def quantile(self, p: float) -> float:
         """Inverse of the piecewise-linear cdf; flat stretches resolve leftward."""
-        p = float(p)
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"quantile needs 0 < p < 1, got {p!r}")
-        cdf = self.cdf
-        idx = int(np.searchsorted(cdf, p, side="left"))
-        idx = min(max(idx, 1), cdf.size - 1)
-        rise = cdf[idx] - cdf[idx - 1]
-        t = 0.0 if rise <= 0.0 else (p - cdf[idx - 1]) / rise
-        t = min(max(t, 0.0), 1.0)
-        return float(self.xs[idx - 1] + t * (self.xs[idx] - self.xs[idx - 1]))
+        return _linear_cdf_quantile(self.xs, self.cdf, p)
 
     def median(self) -> float:
         return self.quantile(0.5)

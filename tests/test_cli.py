@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from derangetropy.cli import main
+from derangetropy.cli import _render_json, _table, main
 
 RHO_FLAT_CENTER = 1.4051959565836603
 
@@ -267,6 +267,8 @@ class TestConfigAndErrors:
             ["recurse", "--levels", "11"],
             ["recurse", "--levels", "0"],
             ["eval", "--config", "/nonexistent/cfg.json"],
+            ["recurse", "--delta", "inf"],
+            ["eval", "--points", "99999999999999999999"],
         ],
     )
     def test_config_stage_failures(self, capsys, argv):
@@ -284,7 +286,10 @@ class TestConfigAndErrors:
 
     @pytest.mark.parametrize(
         "config",
-        [{"points": "abc"}, {"points": None}, {"delta": "x"}, {"dist": 3}, {"points": 1e999}, {"out": 3}],
+        [
+            {"points": "abc"}, {"points": None}, {"delta": "x"}, {"dist": 3}, {"points": 1e999}, {"out": 3},
+            {"delta": math.inf}, {"points": 1e20},
+        ],
     )
     def test_wrong_typed_config_value(self, capsys, tmp_path, config):
         cfg = tmp_path / "cfg.json"
@@ -323,6 +328,14 @@ class TestConfigAndErrors:
         # level 0 is the seed grid
         assert len(rows) == 3 * 301
         assert {r["level"] for r in rows} == {"0", "1", "2"}
+
+    @pytest.mark.parametrize("command", ["eval", "energy", "recurse"])
+    def test_points_too_large_to_allocate(self, capsys, command):
+        # 2**59 float64 values are 4 EiB: numpy refuses before touching memory
+        code, out, err = _run(capsys, [command, "--points", str(2**59)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_usage_error(self, capsys):
         code, _, err = _run(capsys, ["eval", "--no-such-flag"])
@@ -368,3 +381,33 @@ class TestRoundTrip:
         assert "renormaliz" in err
         factor = float(err.split("factor")[1].split()[0].strip(" =:"))
         assert abs(factor - 1.0) < 1e-6
+
+
+class TestTable:
+    COLUMNS = {"x": np.array([-0.0, 5e-324, 0.1, 1e16]), "k": np.array([0, 1, -2, 3])}
+
+    def test_csv_cells_are_shortest_repr(self):
+        assert _table(self.COLUMNS, "csv") == "x,k\n-0.0,0\n5e-324,1\n0.1,-2\n1e+16,3\n"
+
+    def test_json_rows(self):
+        rows = [("-0.0", "0"), ("5e-324", "1"), ("0.1", "-2"), ("1e+16", "3")]
+        expected = ",\n".join(f'  {{\n    "x": {x},\n    "k": {k}\n  }}' for x, k in rows)
+        assert _render_json(_table(self.COLUMNS, "json")) == "[\n" + expected + "\n]\n"
+
+    def test_recurse_csv_cells_equal_json_values(self, capsys):
+        argv = ["recurse", "--dist", "normal:0,1", "--points", "301", "--levels", "2"]
+        code, csv_out, _ = _run(capsys, argv)
+        assert code == 0
+        code, json_out, _ = _run(capsys, argv + ["--format", "json"])
+        assert code == 0
+        blob = json.loads(json_out)
+        for section, rows in zip(csv_out.split("\n\n"), (blob["grids"], blob["metrics"])):
+            lines = section.splitlines()
+            header = lines[0].split(",")
+            assert len(lines) - 1 == len(rows)
+            for line, row in zip(lines[1:], rows):
+                assert list(row) == header
+                for cell, value in zip(line.split(","), row.values()):
+                    # repr tells -0.0 from 0.0 and ints from floats
+                    parsed = json.loads(cell)
+                    assert type(parsed) is type(value) and repr(parsed) == repr(value)

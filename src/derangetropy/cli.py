@@ -217,8 +217,7 @@ def _cmd_recurse(d, cfg) -> str:
     return grid_table + "\n" + metric_table
 
 
-def _cmd_verify(cfg) -> tuple[str, int]:
-    spec = _quad_spec_from_env()
+def _cmd_verify(cfg, spec: QuadratureSpec | None) -> tuple[str, int]:
     reports = run_suite(cfg["suite"], spec)
     text = _render_json([r.to_dict() for r in reports])
     code = 0 if all(r.passed for r in reports) else 1
@@ -244,10 +243,10 @@ def main(argv=None) -> int:
 
     try:
         cfg = _resolve(args)
-        spec_needed = args.command in ("eval", "energy", "recurse")
-        d = _make_dist(cfg) if spec_needed else None
         if args.command == "verify":
-            _quad_spec_from_env()  # surface env mistakes as usage errors up front
+            spec = _quad_spec_from_env()
+        else:
+            d = _make_dist(cfg)
     except DerangetropyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -260,7 +259,7 @@ def main(argv=None) -> int:
         elif args.command == "recurse":
             text, code = _cmd_recurse(d, cfg), 0
         else:
-            text, code = _cmd_verify(cfg)
+            text, code = _cmd_verify(cfg, spec)
     except DerangetropyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NegativeDensity, NonMonotoneGrid, ParseError
-from .numerics import cumulative_integral, find_root
+from .errors import DomainError, NegativeDensity, NonFiniteSample, NonMonotoneGrid, ParseError
+from .numerics import _unit_density, find_root
 
 _erf = np.vectorize(math.erf, otypes=[float])
 
@@ -301,8 +301,10 @@ class Arcsin(Distribution):
 class Tabulated(Distribution):
     """Density given by samples on a grid, linearly interpolated.
 
-    The sampled values are renormalized so the trapezoid integral over the
-    grid is exactly 1; the applied factor is kept as `normalization`.
+    The sampled values are renormalized by the rule every sampled density in
+    the package follows (numerics._unit_density): unit trapezoid mass over
+    the grid, a cdf running exactly from 0 to 1, and InvalidGrid if the mass
+    is not positive and finite. The applied factor is kept as `normalization`.
     """
 
     def __init__(self, xs, fs):
@@ -310,19 +312,16 @@ class Tabulated(Distribution):
         fs = np.asarray(fs, dtype=float)
         if xs.ndim != 1 or xs.shape != fs.shape or xs.size < 2:
             raise ParseError("tabulated density needs matching 1-d x and f arrays")
-        if np.any(np.diff(xs) <= 0.0):
+        dx = np.diff(xs)
+        if np.any(dx <= 0.0):
             raise NonMonotoneGrid("tabulated grid must be strictly increasing")
         if float(np.min(fs)) < -1e-10 * max(1.0, float(np.max(np.abs(fs)))):
             raise NegativeDensity(f"tabulated density has negative entries down to {float(np.min(fs))!r}")
-        fs = np.maximum(fs, 0.0)
-        raw_cdf = cumulative_integral(xs, fs)
-        mass = float(raw_cdf[-1])
-        if not (mass > 0.0 and math.isfinite(mass)):
-            raise NegativeDensity("tabulated density has no positive mass")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(fs))):
+            raise NonFiniteSample("tabulated grid or density contains non-finite entries")
+        self.fs, self._cdf_nodes, mass = _unit_density(np.maximum(fs, 0.0), dx)
         self.xs = xs
-        self.fs = fs / mass
         self.normalization = 1.0 / mass
-        self._cdf_nodes = raw_cdf / mass
 
     def support(self):
         return (float(self.xs[0]), float(self.xs[-1]))

@@ -20,7 +20,6 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import DomainError
-from .numerics import ln_gamma
 
 # leading constant of the functional and its log, double precision
 SCALE = 24.0 / (math.pi * math.e)
@@ -58,46 +57,47 @@ class EnergyBreakdown:
         return self.e_total - (self.e_oscillatory + self.e_structural + sign * self.constant_c)
 
 
+def _neg_entropy(F: np.ndarray) -> np.ndarray:
+    """F*log(F) + (1-F)*log(1-F), i.e. -H_B(F), element-wise for F in [0, 1]."""
+    q = 1.0 - F
+    # log is skipped where its argument is 0, which leaves 0*log(0) = 0
+    out = np.log(F, out=np.zeros_like(F), where=F > 0.0)
+    out *= F
+    out += q * np.log(q, out=np.zeros_like(q), where=q > 0.0)
+    return out
+
+
 def bernoulli_entropy(p):
     """Entropy (nats) of a Bernoulli(p) coin, with 0*log(0) = 0.
 
     Accepts scalars or arrays; p must lie in [0, 1].
     """
     arr = np.asarray(p, dtype=float)
-    scalar = arr.ndim == 0
     if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
         raise DomainError(f"bernoulli_entropy needs p in [0,1], got {p!r}")
-    safe_p = np.where(arr > 0.0, arr, 1.0)
-    safe_q = np.where(arr < 1.0, 1.0 - arr, 1.0)
-    h = -(arr * np.log(safe_p) + (1.0 - arr) * np.log(safe_q))
-    h = np.maximum(h, 0.0)
-    return float(h) if scalar else h
+    # maximum turns the -0.0 at p = 0 and p = 1 into 0.0
+    h = np.maximum(-_neg_entropy(arr), 0.0)
+    return float(h) if arr.ndim == 0 else h
 
 
 def derangetropy_kernel(F):
     """Density-free factor (24/(pi*e)) * sin(pi*F) * F^F * (1-F)^(1-F).
 
     Multiplying a density f(x) by this factor evaluated at its own cdf gives
-    rho. Computed in log space as SCALE * sin(pi*F) * exp(F*log(F) +
-    (1-F)*log(1-F)), and exactly zero at F = 0 and F = 1. That matches
-    derangetropy_entropy_form algebraically, so that form checks only the code
-    path; derangetropy_gamma_form and the 50-digit mpmath test are the oracles.
+    rho. Computed in log space as SCALE * sin(pi*F) * exp(-H_B(F)), sharing
+    -H_B with bernoulli_entropy, and exactly zero at F = 0 and F = 1.
+    derangetropy_gamma_form and the 50-digit mpmath test are its oracles.
     """
     arr = np.asarray(F, dtype=float)
-    scalar = arr.ndim == 0
     # comparisons with NaN are False, so this also rejects NaN
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise DomainError(f"kernel needs F in [0,1], got {F!r}")
-    q = 1.0 - arr
-    # log is skipped where its argument is 0, which leaves 0*log(0) = 0
-    log_psi = np.log(arr, out=np.zeros_like(arr), where=arr > 0.0)
-    log_psi *= arr
-    log_psi += q * np.log(q, out=np.zeros_like(q), where=q > 0.0)
+    log_psi = _neg_entropy(arr)
     val = SCALE * np.sin(np.pi * arr)
     val *= np.exp(log_psi)
     # sin(np.pi) is 1.2e-16, not 0
-    val *= q > 0.0
-    return float(val) if scalar else val
+    val *= arr < 1.0
+    return float(val) if arr.ndim == 0 else val
 
 
 def derangetropy(d: Distribution, x: float) -> DerangetropyValue:
@@ -119,7 +119,12 @@ def derangetropy_profile(d: Distribution, xs):
 
 
 def derangetropy_entropy_form(d: Distribution, x: float) -> float:
-    """rho written with exp(-H_B(F)) in place of the power term."""
+    """rho written with exp(-H_B(F)) in place of the power term, at one point.
+
+    Not an independent oracle: H_B comes from the same log expression the
+    kernel uses, so this route checks only the scalar path through
+    bernoulli_entropy and math.sin.
+    """
     x = float(x)
     f = float(d.pdf(x))
     F = float(d.cdf(x))
@@ -132,7 +137,9 @@ def derangetropy_gamma_form(d: Distribution, x: float) -> float:
     """rho written through the reflection identity; needs F strictly in (0,1).
 
     sin(pi*F) = pi / (Gamma(F) * Gamma(1-F)) turns the leading constant into
-    24/e and moves the oscillatory factor into two log-gamma evaluations.
+    24/e and moves the oscillatory factor into two math.lgamma evaluations;
+    F^F * (1-F)^(1-F) is taken in power form. Sharing no code with the
+    kernel, this is the independent oracle of the three routes.
     """
     x = float(x)
     f = float(d.pdf(x))
@@ -140,7 +147,7 @@ def derangetropy_gamma_form(d: Distribution, x: float) -> float:
     if F <= 0.0 or F >= 1.0:
         raise DomainError(f"gamma form needs F strictly inside (0,1), got F={F!r}")
     psi = F ** F * (1.0 - F) ** (1.0 - F)
-    return (24.0 / math.e) * psi * f / math.exp(ln_gamma(F) + ln_gamma(1.0 - F))
+    return (24.0 / math.e) * psi * f / math.exp(math.lgamma(F) + math.lgamma(1.0 - F))
 
 
 def _interior_point(d: Distribution, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,9 +207,7 @@ def energy_decomposition(d: Distribution, x) -> EnergyBreakdown:
     """
     x = np.asarray(x, dtype=float)
     f, F = _interior_point(d, x)
-    sin_pf = np.sin(np.pi * F)
-    hb = bernoulli_entropy(F)
-    parts = (-np.log(sin_pf), hb - np.log(f), -np.log(SCALE * sin_pf * np.exp(-hb) * f))
+    parts = (-np.log(np.sin(np.pi * F)), bernoulli_entropy(F) - np.log(f), -np.log(derangetropy_kernel(F) * f))
     if x.ndim == 0:
         parts = tuple(float(v) for v in parts)
     return EnergyBreakdown(*parts, constant_c=ENERGY_CONSTANT)

@@ -1,4 +1,4 @@
-"""Quadrature, special functions, and finite differences.
+"""Quadrature, root finding, finite differences, and sampled densities.
 
 Everything downstream (normalization checks, energy profiles, the recursion)
 runs through this module, so the routines here are deliberately conservative:
@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DomainError,
     GridMismatch,
+    InvalidGrid,
     NegativeDensity,
     NoSignChange,
     NonConvergence,
@@ -245,39 +246,21 @@ def _cumulative_trapezoid(ys: np.ndarray, dx: np.ndarray) -> np.ndarray:
     return out
 
 
-# Lanczos approximation, g = 7, 9 coefficients. With the 0 < z < 0.5 branch
-# handled by the recurrence ln_gamma(z) = ln_gamma(z+1) - log z, the relative
-# error against reference values stays below about 5e-15 over (0, 1e4].
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+def _unit_density(ys: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Scale sampled density values ys, in place, to unit trapezoid mass over spacings dx.
 
-
-def ln_gamma(z: float) -> float:
-    """Natural log of the Gamma function for real z > 0."""
-    z = float(z)
-    if not math.isfinite(z) or z <= 0.0:
-        raise DomainError(f"ln_gamma requires z > 0, got {z!r}")
-    if z < 0.5:
-        # recurrence instead of reflection: keeps the reflection identity
-        # usable as an independent test
-        return ln_gamma(z + 1.0) - math.log(z)
-    w = z - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[k] / (w + k)
-    t = w + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (w + 0.5) * math.log(t) - t + math.log(acc)
+    Returns (density, cdf, mass): density is ys divided by its mass, and cdf is
+    its running trapezoid integral divided by its last value and clipped to
+    [0, 1], so it runs exactly from 0 to 1. InvalidGrid unless the mass is
+    positive and finite.
+    """
+    mass = _trapezoid(ys, dx)
+    if not (mass > 0.0 and math.isfinite(mass)):
+        raise InvalidGrid(f"sampled density has mass {mass!r}")
+    ys /= mass
+    cdf = _cumulative_trapezoid(ys, dx)
+    cdf /= cdf[-1]
+    return ys, np.clip(cdf, 0.0, 1.0, out=cdf), mass
 
 
 def find_root(

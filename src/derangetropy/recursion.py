@@ -17,7 +17,7 @@ import numpy as np
 from .distributions import Distribution, _linear_cdf_quantile
 from .errors import DomainError, GridMismatch, InvalidGrid
 from .functional import derangetropy_kernel
-from .numerics import _cumulative_trapezoid, _trapezoid, cumulative_integral
+from .numerics import _trapezoid, _unit_density
 
 # slack on the unit-mass and cdf-range checks; renormalization makes the
 # stored arrays exact to rounding, so this only has to absorb float noise
@@ -98,15 +98,12 @@ def discretize(d: Distribution, n_points: int, tail_eps: float) -> GridFunction:
         raise DomainError(f"tail_eps must lie in (0, 0.1), got {tail_eps!r}")
     lo, hi = d.truncated_support(tail_eps)
     xs = np.linspace(lo, hi, n_points)
-    density = np.asarray(d.pdf(xs), dtype=float)
-    if not np.all(np.isfinite(density)):
-        raise InvalidGrid("pdf is not finite on the truncated grid")
-    mass = _trapezoid(density, np.diff(xs))
-    if not (mass > 0.0 and math.isfinite(mass)):
-        raise InvalidGrid(f"sampled density has mass {mass!r}")
-    density = density / mass
-    cdf = cumulative_integral(xs, density)
-    cdf = np.clip(cdf / cdf[-1], 0.0, 1.0)
+    # a copy, since _unit_density scales it in place
+    density = np.array(d.pdf(xs), dtype=float)
+    # comparisons with NaN are False, so this also rejects NaN
+    if not (density.min() >= 0.0 and density.max() < np.inf):
+        raise InvalidGrid("pdf is not finite and nonnegative on the truncated grid")
+    density, cdf, mass = _unit_density(density, np.diff(xs))
     return GridFunction(xs=xs, density=density, cdf=cdf, level=0, prenorm_mass=mass)
 
 
@@ -115,12 +112,7 @@ def apply_derangetropy(g: GridFunction) -> GridFunction:
     dx = g.validate()
     density = derangetropy_kernel(np.clip(g.cdf, 0.0, 1.0))
     density *= g.density
-    prenorm = _trapezoid(density, dx)
-    if not (prenorm > 0.0 and math.isfinite(prenorm)):
-        raise InvalidGrid(f"reweighted density has mass {prenorm!r}")
-    density /= prenorm
-    cdf = _cumulative_trapezoid(density, dx)
-    cdf = np.clip(cdf / cdf[-1], 0.0, 1.0)
+    density, cdf, prenorm = _unit_density(density, dx)
     return GridFunction(xs=g.xs, density=density, cdf=cdf, level=g.level + 1, prenorm_mass=prenorm)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,9 @@ SUITES = ("all", "normalization", "appendix", "mode", "ode", "equilibrium")
 # classifications with |second derivative| below this are reported as degenerate
 _CURVATURE_DEADBAND = 1e-6
 
+# find_equilibria scans [quantile(eps), quantile(1 - eps)] with this eps
+_SCAN_EPS = 1e-4
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -64,13 +67,7 @@ class VerificationReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "details": dict(self.details),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -137,21 +134,18 @@ def verify_normalization(
     )
 
 
-def verify_mode_at_median(
-    d: Distribution,
-    n_points: int = 10_000,
-    tail_eps: float = 1e-9,
-) -> VerificationReport:
+def verify_mode_at_median(d: Distribution, n_points: int = 10_000) -> VerificationReport:
     """Grid argmax of rho against the median, for symmetric unimodal input.
 
-    The symmetry probe runs first: cdf(m-t) + cdf(m+t) must equal 1 to 1e-8
-    for a spread of offsets t, otherwise the check refuses the input with
-    SymmetryProbeFailed instead of reporting a meaningless residual.
+    The grid spans [quantile(1e-9), quantile(1 - 1e-9)]. The symmetry probe
+    runs first: cdf(m-t) + cdf(m+t) must equal 1 to 1e-8 for a spread of
+    offsets t, otherwise the check refuses the input with SymmetryProbeFailed
+    instead of reporting a meaningless residual.
     """
     if n_points < 101:
         raise DomainError(f"n_points must be at least 101, got {n_points!r}")
     m = d.median()
-    lo, hi = d.truncated_support(tail_eps)
+    lo, hi = d.truncated_support(1e-9)
     half = min(m - lo, hi - m)
     offsets = np.linspace(0.05, 0.95, 13) * half
     probe = np.abs(np.asarray(d.cdf(m - offsets)) + np.asarray(d.cdf(m + offsets)) - 1.0)
@@ -176,11 +170,7 @@ def verify_mode_at_median(
     )
 
 
-def verify_ode_uniform(
-    grid_f=None,
-    fd_step: float = 1e-5,
-    tolerance: float = 1e-4,
-) -> VerificationReport:
+def verify_ode_uniform(grid_f=None, fd_step: float = 1e-5) -> VerificationReport:
     """Residual of the second-order ODE satisfied by rho in the uniform case.
 
     With L(F) = atanh(1-2F), the claim is
@@ -220,7 +210,7 @@ def verify_ode_uniform(
     return VerificationReport.build(
         "ode_uniform",
         residual=max(norm_residual, slope_defect),
-        tolerance=tolerance,
+        tolerance=1e-4,
         ode_residual=norm_residual,
         initial_slope=slope,
         initial_slope_target=slope_target,
@@ -231,28 +221,21 @@ def verify_ode_uniform(
     )
 
 
-def find_equilibria(
-    d: Distribution,
-    n_brackets: int = 64,
-    scan_eps: float = 1e-4,
-    root_tol: float | None = None,
-    fd_step: float | None = None,
-) -> list[Equilibrium]:
+def find_equilibria(d: Distribution, n_brackets: int = 64) -> list[Equilibrium]:
     """Interior zeros of dE_total/dx, classified by local curvature.
 
     The derivative of the total energy is evaluated analytically as
-    -rho'/rho; the scan covers [quantile(scan_eps), quantile(1-scan_eps)]
-    with n_brackets intervals, each sign change refined by find_root and
-    classified by a finite-difference second derivative of E_total.
+    -rho'/rho; the scan covers [quantile(_SCAN_EPS), quantile(1-_SCAN_EPS)]
+    with n_brackets intervals, each sign change refined by find_root to
+    1e-12 of the scan width (at least 1) and classified by a finite-difference
+    second derivative of E_total with step 1e-4 of the width.
     """
     if n_brackets < 2:
         raise DomainError(f"n_brackets must be at least 2, got {n_brackets!r}")
-    lo, hi = d.truncated_support(scan_eps)
+    lo, hi = d.truncated_support(_SCAN_EPS)
     width = hi - lo
-    if root_tol is None:
-        root_tol = 1e-12 * max(width, 1.0)
-    if fd_step is None:
-        fd_step = 1e-4 * width
+    root_tol = 1e-12 * max(width, 1.0)
+    fd_step = 1e-4 * width
 
     energy_prime = functools.partial(total_energy_derivative, d)
     xs = np.linspace(lo, hi, n_brackets + 1)

@@ -16,6 +16,7 @@ from derangetropy.distributions import (
 from derangetropy.errors import (
     DomainError,
     NegativeDensity,
+    NonFiniteSample,
     NonMonotoneGrid,
     ParseError,
 )
@@ -386,3 +387,21 @@ class TestTabulatedQueries:
         d = self._triangle()
         out = d.pdf(np.array([0.5, 1.0, 1.5]))
         assert out == pytest.approx([0.5, 1.0, 0.5], rel=1e-9)
+
+    # a non-finite x sits where the grid stays increasing, so only the finiteness check can catch it
+    @pytest.mark.parametrize(
+        "column, index, bad",
+        [
+            ("xs", 4, math.nan),
+            ("xs", -1, math.inf),
+            ("xs", 0, -math.inf),
+            ("fs", 4, math.nan),
+            ("fs", 4, math.inf),
+            ("fs", 4, -math.inf),
+        ],
+    )
+    def test_non_finite_sample(self, column, index, bad):
+        cols = {"xs": np.linspace(0.0, 1.0, 9), "fs": np.ones(9)}
+        cols[column][index] = bad
+        with pytest.raises(NonFiniteSample):
+            Tabulated(cols["xs"], cols["fs"])

@@ -173,7 +173,7 @@ class TestEquivalentForms:
         assert derangetropy_entropy_form(d, 1.0) == 0.0
 
     def test_gamma_form_rejects_edges(self):
-        # reflection via ln_gamma needs 0 < F < 1
+        # reflection via math.lgamma needs 0 < F < 1
         d = Uniform(0.0, 1.0)
         with pytest.raises(DomainError):
             derangetropy_gamma_form(d, 0.0)
@@ -278,6 +278,12 @@ class TestEnergyDecomposition:
             e = energy_decomposition(d, x)
             rho = derangetropy(d, x).rho
             assert e.e_total == pytest.approx(-math.log(rho), rel=1e-13)
+
+    @pytest.mark.parametrize("d", ZOO, ids=_ids)
+    def test_total_is_neg_log_profile_rho_bitwise(self, d):
+        xs = np.linspace(*d.truncated_support(1e-6), 501)
+        _, _, rho = derangetropy_profile(d, xs)
+        assert np.array_equal(energy_decomposition(d, xs).e_total, -np.log(rho))
 
     @pytest.mark.parametrize("x", [0.0, 1.0, -0.5])
     def test_rejects_zero_density_points(self, x):

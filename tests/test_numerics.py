@@ -20,7 +20,6 @@ from derangetropy.numerics import (
     cumulative_integral,
     find_root,
     integrate,
-    ln_gamma,
 )
 
 SIMPSON = QuadratureSpec(method="adaptive_simpson")
@@ -243,42 +242,6 @@ class TestCumulativeIntegral:
         out = cumulative_integral(xs, ys)
         assert np.all(np.diff(out) >= -1e-12)
         assert abs(float(out[-1]) - float(np.trapezoid(ys, xs))) < 1e-9 * (1.0 + float(out[-1]))
-
-
-class TestLnGamma:
-    def test_anchor_values(self):
-        assert abs(ln_gamma(1.0)) < 1e-14
-        assert abs(ln_gamma(2.0)) < 1e-14
-        assert abs(ln_gamma(0.5) - 0.5 * math.log(math.pi)) < 1e-13
-        assert abs(ln_gamma(5.0) - math.log(24.0)) < 1e-13
-
-    def test_against_reference(self):
-        zs = np.concatenate([
-            np.geomspace(1e-6, 0.4, 25),
-            np.linspace(0.5, 20.0, 40),
-            np.geomspace(30.0, 1e4, 15),
-        ])
-        for z in zs:
-            ref = math.lgamma(z)
-            assert abs(ln_gamma(float(z)) - ref) <= 1e-12 * max(1.0, abs(ref))
-
-    @given(st.floats(1e-6, 1.0 - 1e-6))
-    @settings(max_examples=80, deadline=None)
-    def test_reflection(self, z):
-        lhs = ln_gamma(z) + ln_gamma(1.0 - z)
-        rhs = math.log(math.pi / math.sin(math.pi * z))
-        assert abs(lhs - rhs) < 1e-10
-
-    @pytest.mark.parametrize("z", [0.1, 0.5, 1.5, 3.7, 10.0, 100.0])
-    def test_recurrence(self, z):
-        assert abs(ln_gamma(z + 1.0) - ln_gamma(z) - math.log(z)) < 1e-12 * max(
-            1.0, abs(ln_gamma(z))
-        )
-
-    @pytest.mark.parametrize("z", [0.0, -1.0, -0.5, math.nan])
-    def test_domain(self, z):
-        with pytest.raises(DomainError):
-            ln_gamma(z)
 
 
 class TestFindRoot:

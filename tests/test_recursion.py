@@ -9,6 +9,7 @@ from derangetropy.distributions import (
     Exponential,
     Normal,
     Semicircle,
+    Tabulated,
     Uniform,
 )
 from derangetropy.errors import DomainError, GridMismatch, InvalidGrid
@@ -85,6 +86,50 @@ class TestDiscretize:
     def test_bad_tail_eps(self, eps):
         with pytest.raises(DomainError):
             discretize(Uniform(0.0, 1.0), n_points=1001, tail_eps=eps)
+
+
+class _Vanishing(Uniform):
+    """A uniform law whose pdf reads 0 everywhere."""
+
+    def pdf(self, x):
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+
+class TestSampledDensityRule:
+    """discretize, apply_derangetropy and Tabulated normalize samples by one rule."""
+
+    @pytest.mark.parametrize("d", ZOO, ids=_ids)
+    def test_tabulated_matches_level_zero(self, d):
+        g = _grid(d)
+        t = Tabulated(g.xs, d.pdf(g.xs))
+        assert np.array_equal(t.fs, g.density)
+        assert np.array_equal(t.cdf(g.xs), g.cdf)
+
+    def test_zero_tabulated_density(self):
+        xs = np.linspace(0.0, 1.0, 9)
+        with pytest.raises(InvalidGrid):
+            Tabulated(xs, np.zeros_like(xs))
+
+    def test_zero_discretized_density(self):
+        with pytest.raises(InvalidGrid):
+            discretize(_Vanishing(), n_points=101, tail_eps=1e-6)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_discretize_rejects_bad_pdf_values(self, bad):
+        class Spoiled(Uniform):
+            def pdf(self, x):
+                return np.where(np.abs(np.asarray(x, dtype=float) - 0.5) < 0.1, bad, 1.0)
+
+        with pytest.raises(InvalidGrid):
+            discretize(Spoiled(), n_points=101, tail_eps=1e-6)
+
+    def test_zero_reweighted_density(self):
+        # a valid level whose mass sits where the cdf is 0 or 1, so the kernel erases all of it
+        g = GridFunction(
+            xs=np.array([0.0, 0.5, 1.5]), density=np.array([1.0, 1.0, 0.0]), cdf=np.array([0.0, 1.0, 1.0]), level=0
+        )
+        with pytest.raises(InvalidGrid):
+            apply_derangetropy(g)
 
 
 class TestApply:

@@ -269,13 +269,17 @@ class TestConfigAndErrors:
             ["eval", "--config", "/nonexistent/cfg.json"],
             ["recurse", "--delta", "inf"],
             ["eval", "--points", "99999999999999999999"],
+            ["eval", "--dist", "semicircle:0,1e-200"],
+            ["eval", "--dist", "semicircle:-1e300,1e300"],
+            ["eval", "--dist", "arcsin:0,1e-170"],
+            ["eval", "--dist", "arcsin:-1e300,1e300"],
         ],
     )
     def test_config_stage_failures(self, capsys, argv):
         code, out, err = _run(capsys, argv)
         assert code == 2
         assert out == ""
-        assert err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_unknown_config_field(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -333,6 +337,17 @@ class TestConfigAndErrors:
     def test_points_too_large_to_allocate(self, capsys, command):
         # 2**59 float64 values are 4 EiB: numpy refuses before touching memory
         code, out, err = _run(capsys, [command, "--points", str(2**59)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_window_of_huge_sigma(self, capsys):
+        # the window is [mu -/+ 4.75 sigma]: finite for 1e307, its width overflows for 1e308
+        code, out, _ = _run(capsys, ["eval", "--dist", "normal:0,1e307", "--points", "301"])
+        assert code == 0
+        _, rows = _csv_rows(out)
+        assert float(rows[0]["x"]) == -float(rows[-1]["x"]) == pytest.approx(-4.753424308822899e307)
+        code, out, err = _run(capsys, ["eval", "--dist", "normal:0,1e308", "--points", "301"])
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1

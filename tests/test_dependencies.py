@@ -8,6 +8,8 @@ from pathlib import Path
 import derangetropy
 
 TEST_ONLY = {"scipy", "mpmath", "hypothesis", "pytest"}
+# imported where first needed, since each adds measurable time to `import derangetropy`
+DEFERRED = {"statistics"}
 
 
 def test_import_loads_no_test_only_module():
@@ -21,3 +23,4 @@ def test_import_loads_no_test_only_module():
     loaded = set(json.loads(run.stdout))
     assert {"derangetropy", "numpy"} <= loaded
     assert not loaded & TEST_ONLY, sorted(loaded & TEST_ONLY)
+    assert not loaded & DEFERRED, sorted(loaded & DEFERRED)

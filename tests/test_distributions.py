@@ -10,6 +10,7 @@ from derangetropy.distributions import (
     Semicircle,
     Tabulated,
     Uniform,
+    _erf,
     from_spec,
     load_tabulated,
 )
@@ -196,6 +197,66 @@ class TestQuantile:
         assert Arcsin(0.0, 1.0).median() == pytest.approx(0.5, abs=1e-14)
 
 
+class TestQuantileAccuracy:
+    """The Normal and Semicircle quantiles against mpmath at 50 digits."""
+
+    @pytest.fixture
+    def mp(self):
+        import mpmath
+
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        return mp
+
+    def test_normal(self, mp):
+        d = Normal(0.0, 1.0)
+        ps = np.concatenate([np.geomspace(1e-300, 0.5, 121), 1.0 - np.geomspace(1e-12, 0.5, 61)[:-1]])
+        for p in ps.tolist():
+            x = d.quantile(p)
+            # Newton on the exact cdf, started from x, converges quadratically to the true quantile
+            ref = mp.mpf(x)
+            for _ in range(6):
+                ref -= (mp.ncdf(ref) - p) / mp.npdf(ref)
+            assert abs(x - ref) <= 1e-15 * abs(ref), p
+
+    @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (2.0, 2.5), (-1e5, 3.0)])
+    def test_semicircle(self, mp, a, b):
+        d = Semicircle(a, b)
+        for p in [1e-300, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-6, 1.0 - 1e-9]:
+            # bisection in the unit variable: u*sqrt(1 - u*u) + asin(u) rises on [-1, 1]
+            target = mp.pi * (mp.mpf(p) - 0.5)
+            lo, hi = mp.mpf(-1), mp.mpf(1)
+            for _ in range(170):
+                mid = (lo + hi) / 2
+                if mid * mp.sqrt(1 - mid * mid) + mp.asin(mid) < target:
+                    lo = mid
+                else:
+                    hi = mid
+            ref = (mp.mpf(a) + b) / 2 + (mp.mpf(b) - a) / 2 * lo
+            assert abs(d.quantile(p) - ref) <= 1e-13 * (b - a), p
+
+    @pytest.mark.parametrize(
+        "z",
+        [np.array(0.7), np.array([]), np.linspace(-7.0, 7.0, 10_001), np.linspace(-2.0, 2.0, 12).reshape(3, 4)],
+        ids=["0-d", "empty", "10001", "2-d"],
+    )
+    def test_erf_is_math_erf_bitwise(self, z):
+        got = _erf(z)
+        assert got.shape == z.shape and got.dtype == np.float64
+        want = np.array([math.erf(v) for v in z.ravel().tolist()], dtype=float)
+        assert np.array_equal(got.ravel().view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("d", [Normal(0.3, 1.7), Semicircle(-1.0, 2.0)], ids=_ids)
+    def test_window_makes_no_cdf_calls(self, d, monkeypatch):
+        calls = []
+        cdf = type(d).cdf
+        monkeypatch.setattr(type(d), "cdf", lambda self, x: calls.append(x) or cdf(self, x))
+        d.truncated_support(1e-6)
+        assert calls == []
+        d.cdf(0.0)
+        assert len(calls) == 1
+
+
 class TestSymmetry:
     @pytest.mark.parametrize("d", SYMMETRIC, ids=_ids)
     def test_cdf_reflection(self, d):
@@ -226,6 +287,28 @@ class TestTruncatedSupport:
         assert lo == pytest.approx(-4.75342430882277, abs=1e-9)
         assert hi == pytest.approx(4.75342430882277, abs=1e-9)
 
+    def test_normal_window_is_symmetric(self):
+        for eps in [1e-9, 1e-6, 1e-4, 0.3]:
+            lo, hi = Normal(0.0, 1.0).truncated_support(eps)
+            assert hi == -lo
+
+    @pytest.mark.parametrize("d", [Normal(0.0, 1.0), Exponential(1.0)], ids=_ids)
+    def test_upper_end_matches_mpmath(self, d):
+        # the quantile at 1 - eps, with 1 - eps taken exactly
+        import mpmath
+
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        eps = mp.mpf(1e-9)
+        ref = mp.sqrt(2) * mp.erfinv(1 - 2 * eps) if isinstance(d, Normal) else -mp.log(eps)
+        _, hi = d.truncated_support(1e-9)
+        assert abs(hi - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("d", [Normal(0.0, 1e308), Exponential(1e-310)], ids=_ids)
+    def test_overflowing_window(self, d):
+        with pytest.raises(DomainError, match="not finite"):
+            d.truncated_support(1e-6)
+
     @pytest.mark.parametrize("eps", [0.0, -1e-3, 0.5, 1.0])
     def test_bad_eps(self, eps):
         with pytest.raises(DomainError):
@@ -245,6 +328,9 @@ class TestParameterValidation:
             lambda: Semicircle(1.0, 1.0),
             lambda: Arcsin(1.0, 0.0),
             lambda: Normal(math.nan, 1.0),
+            lambda: Semicircle(math.nan, 1.0),
+            lambda: Semicircle(-math.inf, 1.0),
+            lambda: Arcsin(0.0, math.inf),
         ],
     )
     def test_rejected(self, ctor):

@@ -123,6 +123,8 @@ class Uniform(Distribution):
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
             raise DomainError(f"uniform needs finite a < b, got ({self.a!r}, {self.b!r})")
+        if not math.isfinite(1.0 / (self.b - self.a)):
+            raise DomainError(f"uniform peak density 1/(b - a) overflows for ({self.a!r}, {self.b!r})")
 
     def support(self):
         return (self.a, self.b)
@@ -157,6 +159,8 @@ class Normal(Distribution):
     def __post_init__(self):
         if not (math.isfinite(self.mu) and math.isfinite(self.sigma) and self.sigma > 0.0):
             raise DomainError(f"normal needs finite mu and sigma > 0, got ({self.mu!r}, {self.sigma!r})")
+        if not math.isfinite(1.0 / (self.sigma * math.sqrt(2.0 * math.pi))):
+            raise DomainError(f"normal peak density 1/(sigma*sqrt(2*pi)) overflows for sigma={self.sigma!r}")
 
     def support(self):
         return (-math.inf, math.inf)
@@ -352,13 +356,13 @@ def load_tabulated(path: str) -> Tabulated:
     """Read a two-column CSV (header containing `x` and `f`) into a Tabulated.
 
     Extra columns are ignored, so output of the `eval` subcommand re-ingests
-    directly. Raises ParseError on malformed text, NonMonotoneGrid on
-    unsorted grids, NegativeDensity on negative density values.
+    directly. Raises ParseError on unreadable, non-UTF-8 or malformed text,
+    NonMonotoneGrid on unsorted grids, NegativeDensity on negative density values.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
     if not rows:
         raise ParseError(f"{path!r} is empty")

@@ -57,13 +57,16 @@ class EnergyBreakdown:
         return self.e_total - (self.e_oscillatory + self.e_structural + sign * self.constant_c)
 
 
-def _neg_entropy(F: np.ndarray) -> np.ndarray:
-    """F*log(F) + (1-F)*log(1-F), i.e. -H_B(F), element-wise for F in [0, 1]."""
-    q = 1.0 - F
-    # log is skipped where its argument is 0, which leaves 0*log(0) = 0
-    out = np.log(F, out=np.zeros_like(F), where=F > 0.0)
+def _neg_entropy(F: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """F*log(F) + (1-F)*log(1-F), i.e. -H_B(F), element-wise for F in [0, 1], into out if given."""
+    out = np.subtract(1.0, F, out=np.empty_like(F) if out is None else out)
+    # log is skipped where its argument is 0, which leaves 0*log(0) = 0: the
+    # zeros of qlogq stay, and so does 1 - F = 1 in out, which F = 0 zeroes
+    qlogq = np.log(out, out=np.zeros_like(out), where=out > 0.0)
+    qlogq *= out
+    np.log(F, out=out, where=F > 0.0)
     out *= F
-    out += q * np.log(q, out=np.zeros_like(q), where=q > 0.0)
+    out += qlogq
     return out
 
 
@@ -80,21 +83,24 @@ def bernoulli_entropy(p):
     return float(h) if arr.ndim == 0 else h
 
 
-def derangetropy_kernel(F):
+def derangetropy_kernel(F, out=None):
     """Density-free factor (24/(pi*e)) * sin(pi*F) * F^F * (1-F)^(1-F).
 
     Multiplying a density f(x) by this factor evaluated at its own cdf gives
     rho. Computed in log space as SCALE * sin(pi*F) * exp(-H_B(F)), sharing
     -H_B with bernoulli_entropy, and exactly zero at F = 0 and F = 1.
+    Given out, a float array of F's shape sharing no memory with F, it writes the same bits there and returns out.
     derangetropy_gamma_form and the 50-digit mpmath test are its oracles.
     """
     arr = np.asarray(F, dtype=float)
     # comparisons with NaN are False, so this also rejects NaN
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise DomainError(f"kernel needs F in [0,1], got {F!r}")
-    log_psi = _neg_entropy(arr)
-    val = SCALE * np.sin(np.pi * arr)
-    val *= np.exp(log_psi)
+    val = _neg_entropy(arr, out)
+    np.exp(val, out=val)
+    # one temporary at a time, since fresh pages cost more than the arithmetic
+    osc = np.multiply(np.pi, arr, out=np.empty_like(arr))
+    val *= np.multiply(np.sin(osc, out=osc), SCALE, out=osc)
     # sin(np.pi) is 1.2e-16, not 0
     val *= arr < 1.0
     return float(val) if arr.ndim == 0 else val

@@ -11,20 +11,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    GridMismatch,
-    InvalidGrid,
-    NegativeDensity,
-    NoSignChange,
-    NonConvergence,
-    NonFiniteSample,
-    NonMonotoneGrid,
-)
+from .errors import DomainError, InvalidGrid, NoSignChange, NonConvergence, NonFiniteSample
 
 _METHODS = ("gauss_legendre_composite", "adaptive_simpson")
 
@@ -33,11 +24,6 @@ _METHODS = ("gauss_legendre_composite", "adaptive_simpson")
 # doubled rule.
 _GL_LOW = 12
 _GL_HIGH = 24
-
-# Negative density values smaller than this (relative to the peak) are treated
-# as rounding noise and clamped to zero; anything larger is an error.
-_NEG_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -206,61 +192,42 @@ def _adaptive_simpson(f: Callable, a: float, b: float, spec: QuadratureSpec) -> 
     return math.fsum(pieces)
 
 
-def cumulative_integral(xs: Sequence[float], ys: Sequence[float]) -> np.ndarray:
-    """Running trapezoid integral of a sampled non-negative function.
-
-    Returns an array of the same length as xs starting at 0. Tiny negative
-    ys (rounding noise) are clamped to zero; genuinely negative values raise
-    NegativeDensity.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or ys.shape != xs.shape:
-        raise GridMismatch(f"expected matching 1-d arrays, got {xs.shape} and {ys.shape}")
-    if xs.size < 2:
-        raise GridMismatch("need at least two grid points")
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise NonFiniteSample("grid or values contain non-finite entries")
-    dx = np.diff(xs)
-    if np.any(dx <= 0.0):
-        raise NonMonotoneGrid("grid abscissae must be strictly increasing")
-    floor = -_NEG_TOL * max(1.0, float(np.max(np.abs(ys))))
-    if float(np.min(ys)) < floor:
-        raise NegativeDensity(f"density has negative values down to {float(np.min(ys))!r}")
-    return _cumulative_trapezoid(np.maximum(ys, 0.0), dx)
-
-
-def _trapezoid(ys: np.ndarray, dx: np.ndarray) -> float:
-    """Bit-identical to np.trapezoid(ys, xs) given dx = np.diff(xs), which callers share."""
-    terms = ys[1:] + ys[:-1]
+def _trapezoid(ys: np.ndarray, dx: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Bit-identical to np.trapezoid(ys, xs) given dx = np.diff(xs), which callers share; out holds the terms."""
+    terms = np.add(ys[1:], ys[:-1], out=out)
     terms *= dx
     return float(terms.sum()) / 2.0
 
 
-def _cumulative_trapezoid(ys: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral of ys over spacings dx, starting at 0; no checks."""
-    out = np.zeros(ys.size)
-    steps = np.add(ys[1:], ys[:-1], out=out[1:])
-    steps *= 0.5 * dx
-    np.cumsum(steps, out=steps)
-    return out
-
-
-def _unit_density(ys: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _unit_density(
+    ys: np.ndarray, dx: np.ndarray, lo: int = 0, hi: int | None = None, cdf: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Scale sampled density values ys, in place, to unit trapezoid mass over spacings dx.
 
     Returns (density, cdf, mass): density is ys divided by its mass, and cdf is
     its running trapezoid integral divided by its last value and clipped to
     [0, 1], so it runs exactly from 0 to 1. InvalidGrid unless the mass is
-    positive and finite.
+    positive and finite. A given cdf array receives the cdf and first the mass
+    terms. If ys is +0.0 outside nodes [lo, hi), only those are scaled and summed.
     """
-    mass = _trapezoid(ys, dx)
+    n = ys.size
+    cdf = np.empty(n) if cdf is None else cdf
+    # every term, zeros included, so the pairwise sum rounds as on the whole grid
+    mass = _trapezoid(ys, dx, out=cdf[1:])
     if not (mass > 0.0 and math.isfinite(mass)):
         raise InvalidGrid(f"sampled density has mass {mass!r}")
-    ys /= mass
-    cdf = _cumulative_trapezoid(ys, dx)
-    cdf /= cdf[-1]
-    return ys, np.clip(cdf, 0.0, 1.0, out=cdf), mass
+    ys[lo:hi] /= mass
+    # cdf[k + 1] sums trapezoid steps 0..k in sequence; the steps before a are
+    # +0.0, and those from b on add +0.0, so leaving both out changes no bits
+    a, b = max(lo - 1, 0), n - 1 if hi is None else min(hi, n - 1)
+    steps = np.add(ys[a + 1 : b + 1], ys[a:b], out=cdf[a + 1 : b + 1])
+    steps *= 0.5 * dx[a:b]
+    np.cumsum(steps, out=steps)
+    steps /= cdf[b]
+    np.clip(steps, 0.0, 1.0, out=steps)
+    cdf[: a + 1] = 0.0
+    cdf[b + 1 :] = 1.0
+    return ys, cdf, mass
 
 
 def find_root(

@@ -3,8 +3,9 @@
 The iteration starts from a density sampled on a fixed uniform grid and
 repeatedly multiplies by the kernel evaluated at the current cdf, then
 renormalizes. Mass drifts only through trapezoid error, and the
-pre-renormalization mass of every step is kept as a health metric. Every
-level is fully validated and computes np.diff(xs) once, shared by its sums.
+pre-renormalization mass of every step is kept as a health metric. Every level
+is fully validated, then evaluated only on its cdf interior, where 0 < F < 1 and
+the kernel can be nonzero, with the bits of an evaluation on the whole grid.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution, _linear_cdf_quantile
-from .errors import DomainError, GridMismatch, InvalidGrid
+from .errors import DomainError, GridMismatch, InvalidGrid, NonFiniteSample
 from .functional import derangetropy_kernel
 from .numerics import _trapezoid, _unit_density
 
@@ -108,11 +109,19 @@ def discretize(d: Distribution, n_points: int, tail_eps: float) -> GridFunction:
 
 
 def apply_derangetropy(g: GridFunction) -> GridFunction:
-    """One application of the operator: reweight by the kernel, renormalize."""
+    """One application of the operator: reweight by the kernel on the cdf interior, renormalize."""
     dx = g.validate()
-    density = derangetropy_kernel(np.clip(g.cdf, 0.0, 1.0))
-    density *= g.density
-    density, cdf, prenorm = _unit_density(density, dx)
+    F, n = g.cdf, g.cdf.size
+    lo = int(np.argmax(F > 0.0))
+    hi = max(n - int(np.argmax(F[::-1] < 1.0)), lo)
+    # outside [lo, hi) the kernel is a signed zero, and so is its product with
+    # the density; that is +0.0, as written there, unless a sign bit meets it
+    if np.signbit(F[:lo]).any() or np.signbit(g.density[:lo]).any() or np.signbit(g.density[hi:]).any():
+        lo, hi = 0, n
+    density, cdf = np.zeros(n), np.empty(n)
+    derangetropy_kernel(np.clip(F[lo:hi], 0.0, 1.0, out=cdf[lo:hi]), out=density[lo:hi])
+    density[lo:hi] *= g.density[lo:hi]
+    density, cdf, prenorm = _unit_density(density, dx, lo, hi, cdf)
     return GridFunction(xs=g.xs, density=density, cdf=cdf, level=g.level + 1, prenorm_mass=prenorm)
 
 
@@ -138,9 +147,25 @@ def convergence_metrics(g: GridFunction, delta: float, center: float | None = No
     med = g.median()
     if center is None:
         center = med
-    dx = np.diff(g.xs)
-    mean = _trapezoid(g.xs * g.density, dx)
-    variance = _trapezoid((g.xs - mean) ** 2 * g.density, dx)
+    # moment terms on the density's support only, in a zero-padded array of
+    # all the grid's terms, so that sum() groups them as on the whole grid
+    nonzero, n = g.density != 0.0, g.xs.size
+    a = max(int(np.argmax(nonzero)) - 1, 0)
+    b = max(min(n - int(np.argmax(nonzero[::-1])), n - 1), a)
+    xs, density, terms = g.xs[a : b + 1], g.density[a : b + 1], np.zeros(n - 1)
+
+    def moment(ys):
+        np.add(ys[1:], ys[:-1], out=terms[a:b])
+        # ys is spent, so it takes the spacings
+        terms[a:b] *= np.subtract(xs[1:], xs[:-1], out=ys[1:])
+        return float(terms.sum()) / 2.0
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys = xs * density
+        mean = moment(ys)
+        variance = moment(np.multiply(np.square(np.subtract(xs, mean, out=ys), out=ys), density, out=ys))
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise NonFiniteSample(f"level {g.level} has mean {mean!r} and variance {variance!r}")
     iqr = g.quantile(0.75) - g.quantile(0.25)
     central = g.cdf_at(center + delta) - g.cdf_at(center - delta)
     return ConvergenceMetrics(

@@ -273,6 +273,8 @@ class TestConfigAndErrors:
             ["eval", "--dist", "semicircle:-1e300,1e300"],
             ["eval", "--dist", "arcsin:0,1e-170"],
             ["eval", "--dist", "arcsin:-1e300,1e300"],
+            ["eval", "--dist", "normal:0,1e-320"],
+            ["eval", "--dist", "uniform:0,1e-310", "--points", "101"],
         ],
     )
     def test_config_stage_failures(self, capsys, argv):
@@ -351,6 +353,21 @@ class TestConfigAndErrors:
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_non_utf8_tabulated_file(self, capsys, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xff\xfex,f\n" + b"".join(b"%d,1.0\n" % i for i in range(9)))
+        code, out, err = _run(capsys, ["eval", "--dist", f"tabulated:{path}"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_recurse_with_non_finite_variance(self, capsys):
+        # a 1.4e301-wide window: (x - mean)**2 overflows in the level-0 variance
+        code, out, err = _run(capsys, ["recurse", "--dist", "exponential:1e-300", "--points", "101"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: level 0 ") and err.count("\n") == 1
 
     def test_usage_error(self, capsys):
         code, _, err = _run(capsys, ["eval", "--no-such-flag"])

@@ -331,6 +331,8 @@ class TestParameterValidation:
             lambda: Semicircle(math.nan, 1.0),
             lambda: Semicircle(-math.inf, 1.0),
             lambda: Arcsin(0.0, math.inf),
+            lambda: Normal(0.0, 1e-320),
+            lambda: Uniform(0.0, 1e-310),
         ],
     )
     def test_rejected(self, ctor):
@@ -437,6 +439,12 @@ class TestLoadTabulated:
         rows[4] = "0.5,oops"
         with pytest.raises(ParseError):
             load_tabulated(self._write(tmp_path, rows))
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xff\xfex,f\n" + b"".join(b"%d,1.0\n" % i for i in range(9)))
+        with pytest.raises(ParseError, match="utf-8"):
+            load_tabulated(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):

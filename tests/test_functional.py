@@ -100,6 +100,13 @@ class TestKernel:
         with pytest.raises(DomainError):
             derangetropy_kernel(np.array([0.5, math.nan, 0.25]))
 
+    def test_out_gets_the_same_bits(self):
+        ps = np.concatenate([[0.0, -0.0, 1.0, 5e-324, 0.5], np.random.default_rng(3).uniform(0.0, 1.0, 1000)])
+        out = np.full(ps.size + 2, np.nan)
+        assert derangetropy_kernel(ps, out=out[1:-1]).base is out
+        assert out[1:-1].tobytes() == derangetropy_kernel(ps).tobytes()
+        assert np.isnan(out[0]) and np.isnan(out[-1])
+
     def test_scalar_in_float_out(self):
         assert type(derangetropy_kernel(0.3)) is float
         assert type(derangetropy_kernel(np.float64(0.0))) is float

@@ -2,22 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from derangetropy.errors import (
     DomainError,
-    GridMismatch,
-    NegativeDensity,
+    InvalidGrid,
     NoSignChange,
     NonConvergence,
     NonFiniteSample,
-    NonMonotoneGrid,
 )
 from derangetropy.numerics import (
     QuadratureSpec,
+    _unit_density,
     central_difference,
-    cumulative_integral,
     find_root,
     integrate,
 )
@@ -165,38 +163,52 @@ class TestQuadratureSpec:
             QuadratureSpec(**kwargs)
 
 
-class TestCumulativeIntegral:
+def _kernel_samples(xs):
+    scale = 24.0 / (math.pi * math.e)
+    return scale * np.sin(np.pi * xs) * np.power(np.where(xs > 0, xs, 1.0), xs) * np.power(
+        np.where(xs < 1, 1.0 - xs, 1.0), 1.0 - xs
+    )
+
+
+class TestUnitDensity:
+    """The sampled-density rule: trapezoid mass, then the running trapezoid cdf."""
+
     def test_flat_density(self):
-        out = cumulative_integral([0.0, 0.5, 1.0], [1.0, 1.0, 1.0])
-        assert np.allclose(out, [0.0, 0.5, 1.0], atol=1e-15)
+        density, cdf, mass = _unit_density(np.array([2.0, 2.0, 2.0]), np.array([0.5, 0.5]))
+        assert mass == 2.0
+        assert density.tolist() == [1.0, 1.0, 1.0]
+        assert cdf.tolist() == [0.0, 0.5, 1.0]
 
     def test_triangle(self):
-        out = cumulative_integral([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
-        assert np.allclose(out, [0.0, 0.5, 1.0], atol=1e-15)
+        _, cdf, mass = _unit_density(np.array([0.0, 1.0, 0.0]), np.array([1.0, 1.0]))
+        assert mass == 1.0
+        assert cdf.tolist() == [0.0, 0.5, 1.0]
 
     def test_kernel_shaped_grid(self):
         # trapezoid defect on 1001 uniform points is (h^2/12)*|g'(1)-g'(0)|
         # with slopes +-24/e, about 1.47e-6; pin the bound, not exactness
         xs = np.linspace(0.0, 1.0, 1001)
-        scale = 24.0 / (math.pi * math.e)
-        ys = scale * np.sin(np.pi * xs) * np.power(
-            np.where(xs > 0, xs, 1.0), xs
-        ) * np.power(np.where(xs < 1, 1.0 - xs, 1.0), 1.0 - xs)
-        out = cumulative_integral(xs, ys)
-        assert abs(float(out[-1]) - 1.0) < 1.6e-6
-        assert abs(float(out[-1]) - float(np.trapezoid(ys, xs))) < 1e-14
+        ys = _kernel_samples(xs)
+        _, _, mass = _unit_density(ys.copy(), np.diff(xs))
+        assert abs(mass - 1.0) < 1.6e-6
+        assert abs(mass - float(np.trapezoid(ys, xs))) < 1e-14
 
     def test_kernel_defect_shrinks_with_refinement(self):
-        scale = 24.0 / (math.pi * math.e)
-
         def defect(n):
             xs = np.linspace(0.0, 1.0, n)
-            ys = scale * np.sin(np.pi * xs) * np.power(
-                np.where(xs > 0, xs, 1.0), xs
-            ) * np.power(np.where(xs < 1, 1.0 - xs, 1.0), 1.0 - xs)
-            return abs(float(cumulative_integral(xs, ys)[-1]) - 1.0)
+            return abs(_unit_density(_kernel_samples(xs), np.diff(xs))[2] - 1.0)
 
         assert defect(2001) < 4e-7 < defect(1001)
+
+    def test_cdf_error_is_second_order(self):
+        # density 3x^2 on [0, 1] has cdf x^3; a density whose trapezoid error
+        # is proportional to its cdf (sin, exp) would hide it in the division
+        def error(n):
+            xs = np.linspace(0.0, 1.0, n)
+            _, cdf, _ = _unit_density(3.0 * xs * xs, np.diff(xs))
+            return float(np.max(np.abs(cdf - xs**3)))
+
+        assert 3.9 < error(1001) / error(2001) < 4.1
 
     def test_matches_scipy_on_nonuniform_grid(self):
         from scipy.integrate import cumulative_trapezoid
@@ -204,44 +216,39 @@ class TestCumulativeIntegral:
         rng = np.random.default_rng(7)
         xs = np.cumsum(rng.uniform(1e-3, 1.0, 5001))
         ys = rng.uniform(0.0, 3.0, 5001)
-        out = cumulative_integral(xs, ys)
-        assert out[0] == 0.0
-        np.testing.assert_allclose(out, cumulative_trapezoid(ys, xs, initial=0.0), rtol=1e-14, atol=0.0)
+        oracle = cumulative_trapezoid(ys, xs, initial=0.0)
+        density, cdf, mass = _unit_density(ys.copy(), np.diff(xs))
+        assert cdf[0] == 0.0 and cdf[-1] == 1.0
+        np.testing.assert_allclose(mass, oracle[-1], rtol=1e-14)
+        np.testing.assert_allclose(density, ys / oracle[-1], rtol=1e-14)
+        np.testing.assert_allclose(cdf, oracle / oracle[-1], rtol=1e-14, atol=0.0)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(GridMismatch):
-            cumulative_integral([0.0, 1.0], [1.0, 1.0, 1.0])
+    @pytest.mark.parametrize("lo, hi", [(0, 9), (3, 7), (4, 5), (0, 3), (6, 9)])
+    def test_support_range_changes_no_bits(self, lo, hi):
+        rng = np.random.default_rng(lo * 10 + hi)
+        xs = np.cumsum(rng.uniform(0.1, 1.0, 9))
+        ys = np.zeros(9)
+        ys[lo:hi] = rng.uniform(0.5, 2.0, hi - lo)
+        whole = _unit_density(ys.copy(), np.diff(xs))
+        part = _unit_density(ys.copy(), np.diff(xs), lo, hi, np.full(9, np.nan))
+        for w, p in zip(whole, part):
+            assert np.asarray(w).tobytes() == np.asarray(p).tobytes()
 
-    def test_too_short(self):
-        with pytest.raises(GridMismatch):
-            cumulative_integral([0.0], [1.0])
+    @pytest.mark.parametrize("ys", [[0.0, 0.0, 0.0], [1.0, math.inf, 1.0], [1.0, math.nan, 1.0]])
+    def test_mass_must_be_positive_and_finite(self, ys):
+        with pytest.raises(InvalidGrid):
+            _unit_density(np.array(ys), np.array([0.5, 0.5]))
 
-    def test_non_monotone(self):
-        with pytest.raises(NonMonotoneGrid):
-            cumulative_integral([0.0, 1.0, 0.5], [1.0, 1.0, 1.0])
-
-    def test_negative_density(self):
-        with pytest.raises(NegativeDensity):
-            cumulative_integral([0.0, 0.5, 1.0], [1.0, -0.2, 1.0])
-
-    def test_tiny_negative_clamped(self):
-        out = cumulative_integral([0.0, 0.5, 1.0], [1.0, -1e-14, 1.0])
-        assert np.all(np.diff(out) >= 0.0)
-
-    def test_non_finite(self):
-        with pytest.raises(NonFiniteSample):
-            cumulative_integral([0.0, 0.5, 1.0], [1.0, math.nan, 1.0])
-
-    @given(
-        st.lists(st.floats(0.0, 100.0, allow_nan=False), min_size=2, max_size=40)
-    )
+    @given(st.lists(st.floats(0.0, 100.0, allow_nan=False), min_size=2, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_nondecreasing_and_matches_trapezoid(self, ys):
         xs = np.arange(len(ys), dtype=float)
         ys = np.asarray(ys)
-        out = cumulative_integral(xs, ys)
-        assert np.all(np.diff(out) >= -1e-12)
-        assert abs(float(out[-1]) - float(np.trapezoid(ys, xs))) < 1e-9 * (1.0 + float(out[-1]))
+        # the rule rejects a mass that is 0, as [0, 5e-324] has after rounding
+        assume(np.trapezoid(ys, xs) > 0.0)
+        _, cdf, mass = _unit_density(ys.copy(), np.diff(xs))
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert abs(mass - float(np.trapezoid(ys, xs))) < 1e-9 * (1.0 + mass)
 
 
 class TestFindRoot:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from derangetropy.distributions import (
     Tabulated,
     Uniform,
 )
-from derangetropy.errors import DomainError, GridMismatch, InvalidGrid
+from derangetropy.errors import DomainError, GridMismatch, InvalidGrid, NonFiniteSample
+from derangetropy.functional import SCALE
 from derangetropy.recursion import (
     GridFunction,
+    _MASS_TOL,
     apply_derangetropy,
     convergence_metrics,
     discretize,
@@ -220,6 +223,120 @@ class TestIterate:
         assert all(b > a for a, b in zip(masses, masses[1:]))
 
 
+def _whole_grid_step(g):
+    """apply_derangetropy as it was before it skipped the nodes outside its cdf
+    interior, kept as its oracle: every sum and the kernel run over the whole grid."""
+    dx = g.validate()
+    F = np.clip(g.cdf, 0.0, 1.0)
+    q = 1.0 - F
+    log_psi = np.log(F, out=np.zeros_like(F), where=F > 0.0)
+    log_psi *= F
+    log_psi += q * np.log(q, out=np.zeros_like(q), where=q > 0.0)
+    density = SCALE * np.sin(np.pi * F)
+    density *= np.exp(log_psi)
+    density *= F < 1.0
+    density *= g.density
+    terms = density[1:] + density[:-1]
+    terms *= dx
+    mass = float(terms.sum()) / 2.0
+    if not (mass > 0.0 and math.isfinite(mass)):
+        raise InvalidGrid(f"sampled density has mass {mass!r}")
+    density /= mass
+    cdf = np.zeros(density.size)
+    steps = np.add(density[1:], density[:-1], out=cdf[1:])
+    steps *= 0.5 * dx
+    np.cumsum(steps, out=steps)
+    cdf /= cdf[-1]
+    return GridFunction(g.xs, density, np.clip(cdf, 0.0, 1.0, out=cdf), g.level + 1, mass)
+
+
+def _whole_grid_metrics(g, delta, center):
+    """convergence_metrics with its moments summed over the whole grid, as np.trapezoid does."""
+    m = convergence_metrics(g, delta, center)
+    mean = float(np.trapezoid(g.xs * g.density, g.xs))
+    variance = float(np.trapezoid((g.xs - mean) ** 2 * g.density, g.xs))
+    return dataclasses.replace(m, variance=max(variance, 0.0))
+
+
+def _assert_same_bits(g, oracle):
+    assert g.level == oracle.level
+    assert g.density.tobytes() == oracle.density.tobytes()
+    assert g.cdf.tobytes() == oracle.cdf.tobytes()
+    assert repr(g.prenorm_mass) == repr(oracle.prenorm_mass)
+
+
+def _hand_built(**edits):
+    """A valid 101-node level with a linear cdf, with the given array entries
+    replaced and the density then scaled to unit mass."""
+    xs = np.linspace(0.0, 1.0, 101)
+    arrays = {"density": np.ones(101), "cdf": xs.copy()}
+    for name, (index, value) in edits.items():
+        arrays[name][index] = value
+    arrays["density"] /= np.trapezoid(arrays["density"], xs)
+    g = GridFunction(xs=xs, level=0, **arrays)
+    g.validate()
+    return g
+
+
+class TestInteriorOnlyMatchesWholeGrid:
+    """apply_derangetropy works only where 0 < F < 1, with the bits of the whole-grid step."""
+
+    @pytest.mark.parametrize("d", ZOO, ids=_ids)
+    def test_ten_levels_of_the_zoo(self, d):
+        levels = iterate(_grid(d, n=200_001), 10)
+        oracle = levels[0]
+        delta = 0.05 * float(oracle.xs[-1] - oracle.xs[0])
+        center = oracle.median()
+        for g in levels:
+            if g.level:
+                oracle = _whole_grid_step(oracle)
+            _assert_same_bits(g, oracle)
+            assert repr(convergence_metrics(g, delta, center)) == repr(_whole_grid_metrics(oracle, delta, center))
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            # dips back to 0 and to 1 inside the interior, within the validation slack
+            {
+                "cdf": (
+                    [1, 2, 3, 4, 5, 95, 96, 97, 98, 99],
+                    [0.0, 0.0, 0.5 * _MASS_TOL, 0.0, 0.0, 1.0, 1.0, 1.0 - 0.5 * _MASS_TOL, 1.0, 1.0],
+                )
+            },
+            {"cdf": ([0, 1, 2], [-0.0, -0.0, 0.02])},
+            {"cdf": ([0, 1], [-1e-12, 0.0])},
+            {"cdf": ([0, 1, 99, 100], [0.0, 0.0, 1.0, 1.0]), "density": ([0, 1, 100], [-0.0, -1e-12, -0.0])},
+            {"cdf": ([0, 1, 99, 100], [0.0, 0.0, 1.0, 1.0]), "density": ([0, 1, 99, 100], [0.0, 0.0, 0.0, 0.0])},
+        ],
+        ids=["dips", "negative-zero-cdf", "negative-cdf", "negative-zero-density", "zero-density"],
+    )
+    def test_hand_built_levels(self, edits):
+        g = oracle = _hand_built(**edits)
+        for _ in range(3):
+            g, oracle = apply_derangetropy(g), _whole_grid_step(oracle)
+            _assert_same_bits(g, oracle)
+            assert repr(convergence_metrics(g, 0.1)) == repr(_whole_grid_metrics(oracle, 0.1, None))
+
+    def test_collapse_to_a_single_node(self):
+        g = oracle = _grid(Uniform(0.0, 1.0), n=101)
+        for _ in range(60):
+            g, oracle = apply_derangetropy(g), _whole_grid_step(oracle)
+            _assert_same_bits(g, oracle)
+        assert np.count_nonzero(g.density) == 1
+        # all the mass sits on the median node, where F = 1/2 and the kernel is SCALE/2 = 12/(pi*e)
+        assert g.prenorm_mass == pytest.approx(12.0 / (math.pi * math.e), rel=1e-15)
+        assert repr(convergence_metrics(g, 0.1)) == repr(_whole_grid_metrics(oracle, 0.1, None))
+
+    def test_empty_interior(self):
+        g = GridFunction(
+            xs=np.array([0.0, 0.5, 1.5]), density=np.array([1.0, 1.0, 0.0]), cdf=np.array([0.0, 1.0, 1.0]), level=0
+        )
+        with pytest.raises(InvalidGrid) as oracle:
+            _whole_grid_step(g)
+        with pytest.raises(InvalidGrid, match=f"^{re.escape(str(oracle.value))}$"):
+            apply_derangetropy(g)
+
+
 class TestGridFunctionValidation:
     def _flat(self):
         return _grid(Uniform(0.0, 1.0))
@@ -292,6 +409,12 @@ class TestConvergenceMetrics:
         shifted = convergence_metrics(g, 0.1, center=0.3)
         assert shifted.central_mass == pytest.approx(0.2, abs=1e-6)
         assert shifted.median == pytest.approx(0.5, abs=1e-6)
+
+    def test_non_finite_moments(self):
+        # on a 1.4e301-wide window (x - mean)**2 overflows; that is an error, not a RuntimeWarning
+        g = discretize(Exponential(1e-300), n_points=101, tail_eps=1e-6)
+        with pytest.raises(NonFiniteSample, match="level 0 has mean .* and variance inf"):
+            convergence_metrics(g, 1.0)
 
     @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan])
     def test_delta_domain(self, delta):

@@ -4,8 +4,8 @@ The iteration starts from a density sampled on a fixed uniform grid and
 repeatedly multiplies by the kernel evaluated at the current cdf, then
 renormalizes. Mass drifts only through trapezoid error, and the
 pre-renormalization mass of every step is kept as a health metric. Every level
-is fully validated, then evaluated only on its cdf interior, where 0 < F < 1 and
-the kernel can be nonzero, with the bits of an evaluation on the whole grid.
+is fully validated, then evaluated only on its cdf interior, where 0 < F < 1,
+and one node past it, with the bits of an evaluation on the whole grid.
 """
 
 from __future__ import annotations
@@ -112,10 +112,10 @@ def apply_derangetropy(g: GridFunction) -> GridFunction:
     """One application of the operator: reweight by the kernel on the cdf interior, renormalize."""
     dx = g.validate()
     F, n = g.cdf, g.cdf.size
-    lo = int(np.argmax(F > 0.0))
-    hi = max(n - int(np.argmax(F[::-1] < 1.0)), lo)
-    # outside [lo, hi) the kernel is a signed zero, and so is its product with
-    # the density; that is +0.0, as written there, unless a sign bit meets it
+    # the cdf interior and one node past it on each side; outside [lo, hi) the kernel is a signed
+    # zero, and so is its product with the density: +0.0, as written there, unless a sign bit meets it
+    lo = max(int(np.argmax(F > 0.0)) - 1, 0)
+    hi = max(min(n + 1 - int(np.argmax(F[::-1] < 1.0)), n), lo)
     if np.signbit(F[:lo]).any() or np.signbit(g.density[:lo]).any() or np.signbit(g.density[hi:]).any():
         lo, hi = 0, n
     density, cdf = np.zeros(n), np.empty(n)

@@ -26,6 +26,10 @@ from .verify import SUITES, run_suite
 
 _ENV_TOL = "DERANGETROPY_SEED_TOL"
 
+# recurse warns on stderr about each level whose trapezoid mass before
+# renormalization is further than this from 1
+_MASS_DRIFT = 1e-6
+
 # the largest float64 array numpy can describe; np.linspace sizes its array
 # through a float, so points whose float rounds above it fail there too
 _MAX_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
@@ -202,6 +206,13 @@ def _cmd_recurse(d, cfg) -> str:
     delta = cfg["delta"] if cfg["delta"] is not None else 0.05 * span
     m0 = g0.median()
     metrics = [convergence_metrics(g, delta, center=m0) for g in levels]
+    for g in levels:
+        if abs(g.prenorm_mass - 1.0) > _MASS_DRIFT:
+            print(
+                f"warning: level {g.level} had mass {g.prenorm_mass!r} before renormalization, "
+                f"more than {_MASS_DRIFT} from 1",
+                file=sys.stderr,
+            )
 
     grids = {
         "x": np.concatenate([g.xs for g in levels]),

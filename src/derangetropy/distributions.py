@@ -100,7 +100,15 @@ class Distribution(ABC):
         return p
 
 
-class _SquaredWidth(Distribution):
+class _Symmetric(Distribution):
+    """A family symmetric about its median, whose window reflects its lower end about it."""
+
+    def _window(self, eps):
+        lo, c = float(self.quantile(eps)), float(self.median())
+        return lo, c + (c - lo)
+
+
+class _SquaredWidth(_Symmetric):
     """A family on (a, b) whose pdf divides by (b - a)**2 or by a product of that size."""
 
     def __post_init__(self):
@@ -116,7 +124,7 @@ class _SquaredWidth(Distribution):
 
 
 @dataclass(frozen=True)
-class Uniform(Distribution):
+class Uniform(_Symmetric):
     a: float = 0.0
     b: float = 1.0
 
@@ -152,7 +160,7 @@ class Uniform(Distribution):
 
 
 @dataclass(frozen=True)
-class Normal(Distribution):
+class Normal(_Symmetric):
     mu: float = 0.0
     sigma: float = 1.0
 
@@ -183,10 +191,6 @@ class Normal(Distribution):
     def quantile(self, p):
         import statistics  # here, not at module level: it adds ~3 ms to `import derangetropy`
         return statistics.NormalDist(self.mu, self.sigma).inv_cdf(self._check_p(p))
-
-    def _window(self, eps):
-        lo = self.quantile(eps)
-        return lo, self.mu + (self.mu - lo)  # lo reflected about mu
 
     def median(self):
         return self.mu
@@ -248,7 +252,8 @@ class Semicircle(_SquaredWidth):
         arr, scalar = _prep(x)
         r, c = self._radius_center()
         u = np.clip((arr - c) / r, -1.0, 1.0)
-        val = 0.5 + (u * np.sqrt(1.0 - u * u) + np.arcsin(u)) / math.pi
+        # (1 - u)(1 + u), not 1 - u*u, which cancels near the edges
+        val = 0.5 + (u * np.sqrt((1.0 - u) * (1.0 + u)) + np.arcsin(u)) / math.pi
         return _ret(np.clip(val, 0.0, 1.0), scalar)
 
     def pdf_derivative(self, x):

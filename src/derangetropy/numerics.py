@@ -192,41 +192,99 @@ def _adaptive_simpson(f: Callable, a: float, b: float, spec: QuadratureSpec) -> 
     return math.fsum(pieces)
 
 
-def _trapezoid(ys: np.ndarray, dx: np.ndarray, out: np.ndarray | None = None) -> float:
-    """Bit-identical to np.trapezoid(ys, xs) given dx = np.diff(xs), which callers share; out holds the terms."""
-    terms = np.add(ys[1:], ys[:-1], out=out)
-    terms *= dx
-    return float(terms.sum()) / 2.0
+# nodes per block of a streamed pass over a grid: a few float64 blocks of
+# scratch stay in L2; at least 128, the length numpy sums without splitting
+_BLOCK = 1 << 14
+
+
+def _blocks(lo: int, hi: int):
+    """(start, stop) of the consecutive blocks of at most _BLOCK indices that cover [lo, hi)."""
+    return ((s, min(s + _BLOCK, hi)) for s in range(lo, hi, _BLOCK))
+
+
+def _find(a: np.ndarray, test: Callable) -> int:
+    """Index of the first element of a where the array predicate test holds, -1 if none, block by block."""
+    for s, e in _blocks(0, a.size):
+        hit = test(a[s:e])
+        if hit.any():
+            return s + int(np.argmax(hit))
+    return -1
+
+
+def _pairwise_sum(terms: Callable, n: int, lo: int, hi: int, out: np.ndarray, start: int = 0) -> float:
+    """np.sum(t[start : start + n]) bit for bit, for terms t that are +0.0 outside [lo, hi).
+
+    terms(s, e, out) writes t[s:e] into out, e - s <= _BLOCK, and out is scratch
+    of min(n, _BLOCK) floats. numpy sums more than 128 float64 pairwise, as the
+    sum of the first h and the last n - h, h = n//2 - (n//2) % 8; so np.sum over
+    one node of that tree gives the node, and a node outside [lo, hi) adds +0.0.
+    This walk is a module-level function because a nested one that calls itself
+    is a reference cycle, which would keep each level's arrays alive until the
+    cyclic collector ran.
+    """
+    if start >= hi or start + n <= lo:
+        return 0.0
+    if n > _BLOCK:
+        h = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms, h, lo, hi, out, start) + _pairwise_sum(terms, n - h, lo, hi, out, start + h)
+    out = out[:n]
+    s, e = max(start, lo), min(start + n, hi)
+    out[: s - start] = 0.0
+    out[e - start :] = 0.0
+    terms(s, e, out[s - start : e - start])
+    return float(out.sum())
+
+
+def _trapezoid(ys: np.ndarray, dx: np.ndarray, lo: int = 0, hi: int | None = None) -> float:
+    """Bit-identical to np.trapezoid(ys, xs) given dx = np.diff(xs), which callers share.
+
+    Only the terms [lo, hi) are formed, a block at a time; the others must be +0.0.
+    """
+    n = dx.size
+
+    def terms(s, e, out):
+        np.add(ys[s + 1 : e + 1], ys[s:e], out=out)
+        out *= dx[s:e]
+
+    return _pairwise_sum(terms, n, lo, n if hi is None else hi, np.empty(min(n, _BLOCK))) / 2.0
 
 
 def _unit_density(
-    ys: np.ndarray, dx: np.ndarray, lo: int = 0, hi: int | None = None, cdf: np.ndarray | None = None
+    ys: np.ndarray, dx: np.ndarray, lo: int = 0, hi: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Scale sampled density values ys, in place, to unit trapezoid mass over spacings dx.
 
     Returns (density, cdf, mass): density is ys divided by its mass, and cdf is
     its running trapezoid integral divided by its last value and clipped to
     [0, 1], so it runs exactly from 0 to 1. InvalidGrid unless the mass is
-    positive and finite. A given cdf array receives the cdf and first the mass
-    terms. If ys is +0.0 outside nodes [lo, hi), only those are scaled and summed.
+    positive and finite. If ys is +0.0 outside nodes [lo, hi), only those are
+    scaled and summed. Every pass goes a block at a time, with no temporary
+    the size of ys, and gives the bits of the same pass over the whole grid.
     """
     n = ys.size
-    cdf = np.empty(n) if cdf is None else cdf
-    # every term, zeros included, so the pairwise sum rounds as on the whole grid
-    mass = _trapezoid(ys, dx, out=cdf[1:])
+    # the steps [a, b) are those that touch nodes [lo, hi): the others are +0.0
+    # and add nothing, and nodes a and b, if outside, stay +0.0 when scaled
+    a, b = max(lo - 1, 0), n - 1 if hi is None else min(hi, n - 1)
+    mass = _trapezoid(ys, dx, a, b)
     if not (mass > 0.0 and math.isfinite(mass)):
         raise InvalidGrid(f"sampled density has mass {mass!r}")
-    ys[lo:hi] /= mass
-    # cdf[k + 1] sums trapezoid steps 0..k in sequence; the steps before a are
-    # +0.0, and those from b on add +0.0, so leaving both out changes no bits
-    a, b = max(lo - 1, 0), n - 1 if hi is None else min(hi, n - 1)
-    steps = np.add(ys[a + 1 : b + 1], ys[a:b], out=cdf[a + 1 : b + 1])
-    steps *= 0.5 * dx[a:b]
-    np.cumsum(steps, out=steps)
-    steps /= cdf[b]
-    np.clip(steps, 0.0, 1.0, out=steps)
+    cdf = np.empty(n)
     cdf[: a + 1] = 0.0
     cdf[b + 1 :] = 1.0
+    ys[a] /= mass
+    half_dx = np.empty(min(n, _BLOCK))
+    # cdf[k + 1] sums steps a..k in sequence: each block's cumsum starts from
+    # the last sum of the block before it
+    for s, e in _blocks(a, b):
+        ys[s + 1 : e + 1] /= mass
+        steps = np.add(ys[s + 1 : e + 1], ys[s:e], out=cdf[s + 1 : e + 1])
+        steps *= np.multiply(0.5, dx[s:e], out=half_dx[: e - s])
+        if s > a:
+            steps[0] += cdf[s]
+        np.cumsum(steps, out=steps)
+    total = cdf[b]
+    for s, e in _blocks(a + 1, b + 1):
+        np.clip(np.divide(cdf[s:e], total, out=cdf[s:e]), 0.0, 1.0, out=cdf[s:e])
     return ys, cdf, mass
 
 

@@ -5,7 +5,11 @@ repeatedly multiplies by the kernel evaluated at the current cdf, then
 renormalizes. Mass drifts only through trapezoid error, and the
 pre-renormalization mass of every step is kept as a health metric. Every level
 is fully validated, then evaluated only on its cdf interior, where 0 < F < 1,
-and one node past it, with the bits of an evaluation on the whole grid.
+and one node past it, with the bits of an evaluation on the whole grid. Each
+pass (the checks, the kernel, the mass, the running sum, the moments) streams
+the grid in cache-sized blocks, so the only grid-sized arrays a step makes are
+the new density and cdf and the spacings; its sums follow numpy's pairwise
+tree, so they round as one np.sum over the whole grid would.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from .distributions import Distribution, _linear_cdf_quantile
 from .errors import DomainError, GridMismatch, InvalidGrid, NonFiniteSample
 from .functional import derangetropy_kernel
-from .numerics import _trapezoid, _unit_density
+from .numerics import _BLOCK, _blocks, _find, _pairwise_sum, _trapezoid, _unit_density
 
 # slack on the unit-mass and cdf-range checks; renormalization makes the
 # stored arrays exact to rounding, so this only has to absorb float noise
@@ -49,13 +53,16 @@ class GridFunction:
         if xs.size < 2:
             raise InvalidGrid("grid needs at least two nodes")
         dx = np.diff(xs)
-        if np.any(dx <= 0.0):
+        # fmin skips NaN, as the comparison dx <= 0 would
+        if np.fmin.reduce(dx) <= 0.0:
             raise InvalidGrid("grid must be strictly increasing")
-        if not (np.all(np.isfinite(density)) and np.all(np.isfinite(cdf))):
+        # min and max carry any NaN or infinity
+        bounds = (float(density.min()), float(density.max()), float(cdf.min()), float(cdf.max()))
+        if not all(map(math.isfinite, bounds)):
             raise InvalidGrid("density or cdf contains non-finite values")
-        if float(np.min(density)) < -_MASS_TOL:
+        if bounds[0] < -_MASS_TOL:
             raise InvalidGrid("density has negative values")
-        if np.any(np.diff(cdf) < -_MASS_TOL):
+        if any((np.diff(cdf[s : e + 1]) < -_MASS_TOL).any() for s, e in _blocks(0, cdf.size - 1)):
             raise InvalidGrid("cdf must be nondecreasing")
         if abs(float(cdf[0])) > _MASS_TOL or abs(float(cdf[-1]) - 1.0) > _MASS_TOL:
             raise InvalidGrid("cdf must run from 0 to 1")
@@ -114,14 +121,15 @@ def apply_derangetropy(g: GridFunction) -> GridFunction:
     F, n = g.cdf, g.cdf.size
     # the cdf interior and one node past it on each side; outside [lo, hi) the kernel is a signed
     # zero, and so is its product with the density: +0.0, as written there, unless a sign bit meets it
-    lo = max(int(np.argmax(F > 0.0)) - 1, 0)
-    hi = max(min(n + 1 - int(np.argmax(F[::-1] < 1.0)), n), lo)
-    if np.signbit(F[:lo]).any() or np.signbit(g.density[:lo]).any() or np.signbit(g.density[hi:]).any():
+    lo = max(_find(F, lambda block: block > 0.0) - 1, 0)
+    hi = max(min(n + 1 - _find(F[::-1], lambda block: block < 1.0), n), lo)
+    if any(_find(part, np.signbit) >= 0 for part in (F[:lo], g.density[:lo], g.density[hi:])):
         lo, hi = 0, n
-    density, cdf = np.zeros(n), np.empty(n)
-    derangetropy_kernel(np.clip(F[lo:hi], 0.0, 1.0, out=cdf[lo:hi]), out=density[lo:hi])
-    density[lo:hi] *= g.density[lo:hi]
-    density, cdf, prenorm = _unit_density(density, dx, lo, hi, cdf)
+    density, clipped = np.zeros(n), np.empty(min(n, _BLOCK))
+    for s, e in _blocks(lo, hi):
+        derangetropy_kernel(np.clip(F[s:e], 0.0, 1.0, out=clipped[: e - s]), out=density[s:e])
+        density[s:e] *= g.density[s:e]
+    density, cdf, prenorm = _unit_density(density, dx, lo, hi)
     return GridFunction(xs=g.xs, density=density, cdf=cdf, level=g.level + 1, prenorm_mass=prenorm)
 
 
@@ -147,23 +155,25 @@ def convergence_metrics(g: GridFunction, delta: float, center: float | None = No
     med = g.median()
     if center is None:
         center = med
-    # moment terms on the density's support only, in a zero-padded array of
-    # all the grid's terms, so that sum() groups them as on the whole grid
-    nonzero, n = g.density != 0.0, g.xs.size
-    a = max(int(np.argmax(nonzero)) - 1, 0)
-    b = max(min(n - int(np.argmax(nonzero[::-1])), n - 1), a)
-    xs, density, terms = g.xs[a : b + 1], g.density[a : b + 1], np.zeros(n - 1)
+    # moment terms on the density's support only; the others add +0.0 to the pairwise sum
+    xs, density, n = g.xs, g.density, g.xs.size
+    a = max(_find(density, lambda block: block != 0.0) - 1, 0)
+    b = max(min(n - _find(density[::-1], lambda block: block != 0.0), n - 1), a)
+    ys, spacings, scratch = np.empty((3, min(n, _BLOCK + 1)))
 
-    def moment(ys):
-        np.add(ys[1:], ys[:-1], out=terms[a:b])
-        # ys is spent, so it takes the spacings
-        terms[a:b] *= np.subtract(xs[1:], xs[:-1], out=ys[1:])
-        return float(terms.sum()) / 2.0
+    def moment(integrand):
+        def terms(s, e, out):
+            y = integrand(s, e + 1, ys[: e + 1 - s])
+            np.add(y[1:], y[:-1], out=out)
+            out *= np.subtract(xs[s + 1 : e + 1], xs[s:e], out=spacings[: e - s])
+
+        return _pairwise_sum(terms, n - 1, a, b, scratch) / 2.0
 
     with np.errstate(over="ignore", invalid="ignore"):
-        ys = xs * density
-        mean = moment(ys)
-        variance = moment(np.multiply(np.square(np.subtract(xs, mean, out=ys), out=ys), density, out=ys))
+        mean = moment(lambda s, e, y: np.multiply(xs[s:e], density[s:e], out=y))
+        variance = moment(
+            lambda s, e, y: np.multiply(np.square(np.subtract(xs[s:e], mean, out=y), out=y), density[s:e], out=y)
+        )
     if not (math.isfinite(mean) and math.isfinite(variance)):
         raise NonFiniteSample(f"level {g.level} has mean {mean!r} and variance {variance!r}")
     iqr = g.quantile(0.75) - g.quantile(0.25)

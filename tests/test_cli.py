@@ -177,6 +177,21 @@ class TestRecurse:
         # the first application keeps a local minimum at the center
         assert density[n // 2] < density[n // 4]
 
+    def test_mass_drift_warns_once_per_level(self, capsys):
+        argv = ["recurse", "--dist", "arcsin:0,1", "--points", "2001", "--levels", "3"]
+        code, out, err = _run(capsys, argv)
+        assert code == 0
+        # levels 0-2 have masses 102.3, 0.0135 and 1 + 5.2e-6; level 3 has 1 + 2.2e-7
+        lines = err.splitlines()
+        assert [line.split(" had ")[0] for line in lines] == [f"warning: level {k}" for k in range(3)]
+        assert "mass 102.30" in lines[0] and all("more than 1e-06 from 1" in line for line in lines)
+        assert "warning" not in out
+
+    def test_no_warning_within_the_drift_bound(self, capsys):
+        argv = ["recurse", "--dist", "uniform:0,1", "--points", "2001", "--levels", "4", "--tail-eps", "1e-9"]
+        code, out, err = _run(capsys, argv)
+        assert code == 0 and err == ""
+
     def test_delta_flag(self, capsys):
         code, out, _ = _run(
             capsys,

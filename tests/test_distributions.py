@@ -235,6 +235,16 @@ class TestQuantileAccuracy:
             ref = (mp.mpf(a) + b) / 2 + (mp.mpf(b) - a) / 2 * lo
             assert abs(d.quantile(p) - ref) <= 1e-13 * (b - a), p
 
+    @pytest.mark.parametrize("p, rel", [(1e-12, 1e-4), (1e-9, 1e-7), (1e-6, 1e-10)])
+    def test_semicircle_cdf_near_the_edge(self, mp, p, rel):
+        # the factored (1 - u)(1 + u) gives 3.6e-5, 3.7e-8 and 3.6e-11 here; 1 - u*u gave
+        # 2.3e-2, 3.9e-6 and 4.1e-10. The rest is 0.5 + asin(u)/pi cancelling.
+        d = Semicircle(-1.0, 1.0)
+        x = d.quantile(p)
+        u = mp.mpf(x)
+        ref = mp.mpf(0.5) + (u * mp.sqrt(1 - u * u) + mp.asin(u)) / mp.pi
+        assert abs(d.cdf(x) - ref) <= rel * ref
+
     @pytest.mark.parametrize(
         "z",
         [np.array(0.7), np.array([]), np.linspace(-7.0, 7.0, 10_001), np.linspace(-2.0, 2.0, 12).reshape(3, 4)],
@@ -291,6 +301,27 @@ class TestTruncatedSupport:
         for eps in [1e-9, 1e-6, 1e-4, 0.3]:
             lo, hi = Normal(0.0, 1.0).truncated_support(eps)
             assert hi == -lo
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            Uniform(-1.0, 1.0),
+            Semicircle(-1.0, 1.0),
+            Arcsin(-1.0, 1.0),
+            Uniform(0.0, 1.0),
+            Semicircle(2.0, 7.0),
+            Arcsin(0.0, 1.0),
+        ],
+        ids=repr,
+    )
+    def test_bounded_windows_reflect_about_the_center(self, d):
+        c = d.median()
+        for eps in [1e-9, 1e-6, 1e-2]:
+            lo, hi = d.truncated_support(eps)
+            assert type(lo) is float and type(hi) is float
+            assert lo == d.quantile(eps) and hi == c + (c - lo)
+            if c == 0.0:
+                assert hi - c == c - lo and hi == -lo
 
     @pytest.mark.parametrize("d", [Normal(0.0, 1.0), Exponential(1.0)], ids=_ids)
     def test_upper_end_matches_mpmath(self, d):

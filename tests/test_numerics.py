@@ -12,8 +12,10 @@ from derangetropy.errors import (
     NonConvergence,
     NonFiniteSample,
 )
+from derangetropy import numerics
 from derangetropy.numerics import (
     QuadratureSpec,
+    _pairwise_sum,
     _unit_density,
     central_difference,
     find_root,
@@ -230,7 +232,7 @@ class TestUnitDensity:
         ys = np.zeros(9)
         ys[lo:hi] = rng.uniform(0.5, 2.0, hi - lo)
         whole = _unit_density(ys.copy(), np.diff(xs))
-        part = _unit_density(ys.copy(), np.diff(xs), lo, hi, np.full(9, np.nan))
+        part = _unit_density(ys.copy(), np.diff(xs), lo, hi)
         for w, p in zip(whole, part):
             assert np.asarray(w).tobytes() == np.asarray(p).tobytes()
 
@@ -249,6 +251,34 @@ class TestUnitDensity:
         _, cdf, mass = _unit_density(ys.copy(), np.diff(xs))
         assert np.all(np.diff(cdf) >= 0.0)
         assert abs(mass - float(np.trapezoid(ys, xs))) < 1e-9 * (1.0 + mass)
+
+
+class TestPairwiseSum:
+    """The block-wise tree walk against np.sum: a numpy that regrouped its sums would fail here."""
+
+    @staticmethod
+    def _walk(t, lo, hi):
+        def terms(s, e, out):
+            out[:] = t[s:e]
+
+        return _pairwise_sum(terms, t.size, lo, hi, np.full(min(t.size, numerics._BLOCK), np.nan))
+
+    @pytest.mark.parametrize("block", [128, None], ids=["block-128", "block-default"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_np_sum_bitwise(self, seed, block, monkeypatch):
+        if block:
+            monkeypatch.setattr(numerics, "_BLOCK", block)
+        rng = np.random.default_rng(seed)
+        sizes = [1, 7, 8, 9, 127, 128, 129, 136, 1000, 3 * numerics._BLOCK + 5]
+        sizes += rng.integers(2, 40 * numerics._BLOCK, 2).tolist()
+        for n in sizes:
+            t = rng.standard_normal(n) * np.exp(8.0 * rng.standard_normal(n))
+            assert repr(self._walk(t, 0, n)) == repr(float(np.sum(t))), n
+            # zero-padded: only [lo, hi) is formed, the rest is +0.0
+            lo, hi = sorted(rng.integers(0, n + 1, 2).tolist())
+            t[:lo] = 0.0
+            t[hi:] = 0.0
+            assert repr(self._walk(t, lo, hi)) == repr(float(np.sum(t))), (n, lo, hi)
 
 
 class TestFindRoot:

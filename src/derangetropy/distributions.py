@@ -1,9 +1,12 @@
 """Analytic distribution zoo plus tabulated-density ingestion.
 
-Every family exposes the same small interface: pdf, cdf, pdf_derivative,
-quantile, median, support. pdf and cdf accept scalars or numpy arrays;
-quantile and median are scalar. Normal's quantile is Wichura's AS241 through
-`statistics.NormalDist`; Semicircle's alone needs root finding; the rest are closed forms.
+Every family exposes pdf, cdf, pdf_derivative, quantile, median and support,
+and writes only support, quantile and the array-only hooks _pdf, _cdf and
+_pdf_derivative: the base class converts x to a float array once, gives a float
+back for a scalar x, and rejects derivative points outside the open support,
+infinite ends included. quantile and median are scalar. Normal's quantile is
+Wichura's AS241 through `statistics.NormalDist`; Semicircle's alone needs root
+finding; the rest are closed forms.
 """
 
 from __future__ import annotations
@@ -24,21 +27,11 @@ def _erf(z: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.erf, z.ravel().tolist()), float, count=z.size).reshape(z.shape)
 
 
-def _prep(x):
+def _on_array(hook, x):
+    """hook on x as a float array; a float back for a scalar x."""
     arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _ret(arr: np.ndarray, scalar: bool):
-    return float(arr) if scalar else arr
-
-
-def _check_interior(x, lo: float, hi: float) -> None:
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= lo) or np.any(arr >= hi):
-        raise DomainError(
-            f"derivative needs points strictly inside ({lo!r}, {hi!r})"
-        )
+    val = hook(arr)
+    return float(val) if arr.ndim == 0 else val
 
 
 def _linear_cdf_quantile(xs: np.ndarray, cdf: np.ndarray, p) -> float:
@@ -61,20 +54,37 @@ class Distribution(ABC):
         """Closure of {x : f(x) > 0}; endpoints may be infinite."""
 
     @abstractmethod
-    def pdf(self, x):
-        """Density at x (scalar or array); 0 outside the support."""
+    def _pdf(self, x: np.ndarray) -> np.ndarray:
+        """Density on a float array; 0 outside the support."""
 
     @abstractmethod
-    def cdf(self, x):
-        """Distribution function at x (scalar or array), clamped to [0, 1]."""
+    def _cdf(self, x: np.ndarray) -> np.ndarray:
+        """Distribution function on a float array, clamped to [0, 1]."""
 
     @abstractmethod
-    def pdf_derivative(self, x):
-        """f'(x) strictly inside the support; DomainError at or beyond the boundary."""
+    def _pdf_derivative(self, x: np.ndarray) -> np.ndarray:
+        """f' on a float array whose points all lie strictly inside the support."""
 
     @abstractmethod
     def quantile(self, p: float) -> float:
         """Inverse cdf for 0 < p < 1."""
+
+    def pdf(self, x):
+        """Density at x (scalar or array); 0 outside the support."""
+        return _on_array(self._pdf, x)
+
+    def cdf(self, x):
+        """Distribution function at x (scalar or array), clamped to [0, 1]."""
+        return _on_array(self._cdf, x)
+
+    def pdf_derivative(self, x):
+        """f'(x) strictly inside the support; DomainError at or beyond the boundary, infinite ends included."""
+        arr = np.asarray(x, dtype=float)
+        lo, hi = self.support()
+        # written so that NaN fails it too
+        if not np.all((lo < arr) & (arr < hi)):
+            raise DomainError(f"derivative needs points strictly inside ({lo!r}, {hi!r})")
+        return _on_array(self._pdf_derivative, arr)
 
     def median(self) -> float:
         return self.quantile(0.5)
@@ -108,13 +118,8 @@ class _Symmetric(Distribution):
         return lo, c + (c - lo)
 
 
-class _SquaredWidth(_Symmetric):
-    """A family on (a, b) whose pdf divides by (b - a)**2 or by a product of that size."""
-
-    def __post_init__(self):
-        a, b, name = self.a, self.b, type(self).__name__.lower()
-        if not (a < b and np.finfo(float).tiny <= (b - a) * (b - a) < math.inf):
-            raise DomainError(f"{name} needs a < b with (b - a)**2 a normal float, got ({a!r}, {b!r})")
+class _Interval(_Symmetric):
+    """A family on (a, b), symmetric about its midpoint."""
 
     def support(self):
         return (self.a, self.b)
@@ -123,8 +128,17 @@ class _SquaredWidth(_Symmetric):
         return 0.5 * (self.a + self.b)
 
 
+class _SquaredWidth(_Interval):
+    """A family on (a, b) whose pdf divides by (b - a)**2 or by a product of that size."""
+
+    def __post_init__(self):
+        a, b, name = self.a, self.b, type(self).__name__.lower()
+        if not (a < b and np.finfo(float).tiny <= (b - a) * (b - a) < math.inf):
+            raise DomainError(f"{name} needs a < b with (b - a)**2 a normal float, got ({a!r}, {b!r})")
+
+
 @dataclass(frozen=True)
-class Uniform(_Symmetric):
+class Uniform(_Interval):
     a: float = 0.0
     b: float = 1.0
 
@@ -134,29 +148,19 @@ class Uniform(_Symmetric):
         if not math.isfinite(1.0 / (self.b - self.a)):
             raise DomainError(f"uniform peak density 1/(b - a) overflows for ({self.a!r}, {self.b!r})")
 
-    def support(self):
-        return (self.a, self.b)
+    def _pdf(self, x):
+        inside = (x >= self.a) & (x <= self.b)
+        return np.where(inside, 1.0 / (self.b - self.a), 0.0)
 
-    def pdf(self, x):
-        arr, scalar = _prep(x)
-        inside = (arr >= self.a) & (arr <= self.b)
-        return _ret(np.where(inside, 1.0 / (self.b - self.a), 0.0), scalar)
+    def _cdf(self, x):
+        return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
 
-    def cdf(self, x):
-        arr, scalar = _prep(x)
-        return _ret(np.clip((arr - self.a) / (self.b - self.a), 0.0, 1.0), scalar)
-
-    def pdf_derivative(self, x):
-        arr, scalar = _prep(x)
-        _check_interior(arr, self.a, self.b)
-        return _ret(np.zeros_like(arr), scalar)
+    def _pdf_derivative(self, x):
+        return np.zeros_like(x)
 
     def quantile(self, p):
         p = self._check_p(p)
         return self.a + p * (self.b - self.a)
-
-    def median(self):
-        return 0.5 * (self.a + self.b)
 
 
 @dataclass(frozen=True)
@@ -173,20 +177,16 @@ class Normal(_Symmetric):
     def support(self):
         return (-math.inf, math.inf)
 
-    def pdf(self, x):
-        arr, scalar = _prep(x)
-        z = (arr - self.mu) / self.sigma
-        val = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
-        return _ret(val, scalar)
+    def _pdf(self, x):
+        z = (x - self.mu) / self.sigma
+        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
 
-    def cdf(self, x):
-        arr, scalar = _prep(x)
-        z = (arr - self.mu) / (self.sigma * math.sqrt(2.0))
-        return _ret(0.5 * (1.0 + _erf(z)), scalar)
+    def _cdf(self, x):
+        z = (x - self.mu) / (self.sigma * math.sqrt(2.0))
+        return 0.5 * (1.0 + _erf(z))
 
-    def pdf_derivative(self, x):
-        arr, scalar = _prep(x)
-        return _ret(-(arr - self.mu) / (self.sigma ** 2) * self.pdf(arr), scalar)
+    def _pdf_derivative(self, x):
+        return -(x - self.mu) / (self.sigma ** 2) * self._pdf(x)
 
     def quantile(self, p):
         import statistics  # here, not at module level: it adds ~3 ms to `import derangetropy`
@@ -207,22 +207,15 @@ class Exponential(Distribution):
     def support(self):
         return (0.0, math.inf)
 
-    def pdf(self, x):
-        arr, scalar = _prep(x)
+    def _pdf(self, x):
         # exp argument clamped at 0 from above so x < 0 cannot overflow
-        val = np.where(arr >= 0.0, self.lam * np.exp(-self.lam * np.maximum(arr, 0.0)), 0.0)
-        return _ret(val, scalar)
+        return np.where(x >= 0.0, self.lam * np.exp(-self.lam * np.maximum(x, 0.0)), 0.0)
 
-    def cdf(self, x):
-        arr, scalar = _prep(x)
-        val = np.where(arr > 0.0, -np.expm1(-self.lam * np.maximum(arr, 0.0)), 0.0)
-        return _ret(val, scalar)
+    def _cdf(self, x):
+        return np.where(x > 0.0, -np.expm1(-self.lam * np.maximum(x, 0.0)), 0.0)
 
-    def pdf_derivative(self, x):
-        arr, scalar = _prep(x)
-        if np.any(arr <= 0.0):
-            raise DomainError("derivative needs x > 0 for the exponential family")
-        return _ret(-self.lam ** 2 * np.exp(-self.lam * arr), scalar)
+    def _pdf_derivative(self, x):
+        return -self.lam ** 2 * np.exp(-self.lam * x)
 
     def quantile(self, p):
         p = self._check_p(p)
@@ -242,26 +235,22 @@ class Semicircle(_SquaredWidth):
     def _radius_center(self):
         return 0.5 * (self.b - self.a), 0.5 * (self.a + self.b)
 
-    def pdf(self, x):
-        arr, scalar = _prep(x)
-        prod = (arr - self.a) * (self.b - arr)
+    def _pdf(self, x):
+        prod = (x - self.a) * (self.b - x)
         coef = 8.0 / (math.pi * (self.b - self.a) ** 2)
-        return _ret(coef * np.sqrt(np.maximum(prod, 0.0)), scalar)
+        return coef * np.sqrt(np.maximum(prod, 0.0))
 
-    def cdf(self, x):
-        arr, scalar = _prep(x)
+    def _cdf(self, x):
         r, c = self._radius_center()
-        u = np.clip((arr - c) / r, -1.0, 1.0)
+        u = np.clip((x - c) / r, -1.0, 1.0)
         # (1 - u)(1 + u), not 1 - u*u, which cancels near the edges
         val = 0.5 + (u * np.sqrt((1.0 - u) * (1.0 + u)) + np.arcsin(u)) / math.pi
-        return _ret(np.clip(val, 0.0, 1.0), scalar)
+        return np.clip(val, 0.0, 1.0)
 
-    def pdf_derivative(self, x):
-        arr, scalar = _prep(x)
-        _check_interior(arr, self.a, self.b)
+    def _pdf_derivative(self, x):
         coef = 8.0 / (math.pi * (self.b - self.a) ** 2)
-        root = np.sqrt((arr - self.a) * (self.b - arr))
-        return _ret(coef * (self.a + self.b - 2.0 * arr) / (2.0 * root), scalar)
+        root = np.sqrt((x - self.a) * (self.b - x))
+        return coef * (self.a + self.b - 2.0 * x) / (2.0 * root)
 
     def quantile(self, p):
         target = math.pi * (self._check_p(p) - 0.5)
@@ -278,28 +267,23 @@ class Arcsin(_SquaredWidth):
     a: float = 0.0
     b: float = 1.0
 
-    def pdf(self, x):
-        arr, scalar = _prep(x)
-        prod = (arr - self.a) * (self.b - arr)
+    def _pdf(self, x):
+        prod = (x - self.a) * (self.b - x)
         with np.errstate(divide="ignore"):
             val = np.where(prod > 0.0, 1.0 / (math.pi * np.sqrt(np.maximum(prod, 0.0))), 0.0)
         # density is +inf at the endpoints themselves
-        on_edge = (arr == self.a) | (arr == self.b)
-        val = np.where(on_edge, np.inf, val)
-        return _ret(val, scalar)
+        on_edge = (x == self.a) | (x == self.b)
+        return np.where(on_edge, np.inf, val)
 
-    def cdf(self, x):
-        arr, scalar = _prep(x)
-        u = np.clip((arr - self.a) / (self.b - self.a), 0.0, 1.0)
-        return _ret((2.0 / math.pi) * np.arcsin(np.sqrt(u)), scalar)
+    def _cdf(self, x):
+        u = np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
+        return (2.0 / math.pi) * np.arcsin(np.sqrt(u))
 
-    def pdf_derivative(self, x):
-        arr, scalar = _prep(x)
-        _check_interior(arr, self.a, self.b)
-        prod = (arr - self.a) * (self.b - arr)
+    def _pdf_derivative(self, x):
+        prod = (x - self.a) * (self.b - x)
         # prod * sqrt(prod), not sqrt(prod) ** 3: numpy rounds pow on arrays and
         # on scalars differently, and an array must give what its points give
-        return _ret(-(self.a + self.b - 2.0 * arr) / (2.0 * math.pi * (prod * np.sqrt(prod))), scalar)
+        return -(self.a + self.b - 2.0 * x) / (2.0 * math.pi * (prod * np.sqrt(prod)))
 
     def quantile(self, p):
         p = self._check_p(p)
@@ -334,24 +318,16 @@ class Tabulated(Distribution):
     def support(self):
         return (float(self.xs[0]), float(self.xs[-1]))
 
-    def pdf(self, x):
-        arr, scalar = _prep(x)
-        val = np.interp(arr, self.xs, self.fs, left=0.0, right=0.0)
-        return _ret(val, scalar)
+    def _pdf(self, x):
+        return np.interp(x, self.xs, self.fs, left=0.0, right=0.0)
 
-    def cdf(self, x):
-        arr, scalar = _prep(x)
-        val = np.interp(arr, self.xs, self._cdf_nodes, left=0.0, right=1.0)
-        return _ret(val, scalar)
+    def _cdf(self, x):
+        return np.interp(x, self.xs, self._cdf_nodes, left=0.0, right=1.0)
 
-    def pdf_derivative(self, x):
-        arr, scalar = _prep(x)
-        lo, hi = self.support()
-        _check_interior(arr, lo, hi)
+    def _pdf_derivative(self, x):
         # slope of the linear interpolant on the segment containing x
-        idx = np.clip(np.searchsorted(self.xs, arr, side="right") - 1, 0, self.xs.size - 2)
-        slope = (self.fs[idx + 1] - self.fs[idx]) / (self.xs[idx + 1] - self.xs[idx])
-        return _ret(np.asarray(slope, dtype=float), scalar)
+        idx = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, self.xs.size - 2)
+        return (self.fs[idx + 1] - self.fs[idx]) / (self.xs[idx + 1] - self.xs[idx])
 
     def quantile(self, p):
         return _linear_cdf_quantile(self.xs, self._cdf_nodes, p)

@@ -53,9 +53,10 @@ class GridFunction:
         if xs.size < 2:
             raise InvalidGrid("grid needs at least two nodes")
         dx = np.diff(xs)
-        # fmin skips NaN, as the comparison dx <= 0 would
-        if np.fmin.reduce(dx) <= 0.0:
-            raise InvalidGrid("grid must be strictly increasing")
+        # a NaN anywhere makes the minimum NaN, which fails the comparison; an infinity
+        # inside the grid makes a spacing NaN or -inf, so only the ends need their own check
+        if not (dx.min() > 0.0 and math.isfinite(xs[0]) and math.isfinite(xs[-1])):
+            raise InvalidGrid("grid must be finite and strictly increasing")
         # min and max carry any NaN or infinity
         bounds = (float(density.min()), float(density.max()), float(cdf.min()), float(cdf.max()))
         if not all(map(math.isfinite, bounds)):

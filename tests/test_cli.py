@@ -192,6 +192,15 @@ class TestRecurse:
         code, out, err = _run(capsys, argv)
         assert code == 0 and err == ""
 
+    def test_level_zero_measured_against_its_window(self, capsys):
+        # a default level-0 window holds 1 - 2e-6 of the mass; uniform's is 1.1e-16 from that,
+        # and semicircle's 5.4e-6 short of it, since the trapezoid rule errs at its edges
+        code, _, err = _run(capsys, ["recurse", "--dist", "uniform:0,1"])
+        assert code == 0 and err == ""
+        code, _, err = _run(capsys, ["recurse", "--dist", "semicircle:-1,1"])
+        assert code == 0 and err.startswith("warning: level 0 had mass 0.99999263")
+        assert err.endswith("more than 1e-06 from 1 - 2*tail_eps\n") and err.count("\n") == 1
+
     def test_delta_flag(self, capsys):
         code, out, _ = _run(
             capsys,

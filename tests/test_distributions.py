@@ -5,6 +5,7 @@ import pytest
 
 from derangetropy.distributions import (
     Arcsin,
+    Distribution,
     Exponential,
     Normal,
     Semicircle,
@@ -32,6 +33,9 @@ ZOO = [
 ]
 
 SYMMETRIC = [Uniform(0.0, 1.0), Normal(0.0, 1.0), Semicircle(-1.0, 1.0), Arcsin(0.0, 1.0)]
+
+# the five analytic families and a tabulated triangle on [0, 2]
+SIX = [*ZOO, Tabulated(np.linspace(0.0, 2.0, 201), 1.0 - np.abs(np.linspace(-1.0, 1.0, 201)))]
 
 
 def _ids(d):
@@ -157,13 +161,58 @@ class TestDerivativeAgainstFiniteDifference:
         with pytest.raises(DomainError):
             d.pdf_derivative(x)
 
-    @pytest.mark.parametrize("d", [Arcsin(0.0, 1.0), Semicircle(-1.0, 1.0)], ids=_ids)
+    @pytest.mark.parametrize("d", SIX, ids=_ids)
     def test_boundary_rejected(self, d):
+        # the ends of the support, infinite ones included, NaN, and an array holding one of them
         lo, hi = d.support()
-        with pytest.raises(DomainError):
-            d.pdf_derivative(lo)
-        with pytest.raises(DomainError):
-            d.pdf_derivative(hi)
+        for x in (lo, hi, math.nan, np.array([d.median(), hi])):
+            with pytest.raises(DomainError, match="strictly inside"):
+                d.pdf_derivative(x)
+
+
+class _Minimal(Distribution):
+    """A family that writes only what the base class asks for: f = 2x on [0, 1]."""
+
+    def support(self):
+        return (0.0, 1.0)
+
+    def _pdf(self, x):
+        return np.where((x >= 0.0) & (x <= 1.0), 2.0 * x, 0.0)
+
+    def _cdf(self, x):
+        return np.clip(x, 0.0, 1.0) ** 2
+
+    def _pdf_derivative(self, x):
+        return np.full_like(x, 2.0)
+
+    def quantile(self, p):
+        return math.sqrt(self._check_p(p))
+
+
+class TestScalarsAndArrays:
+    """The base class converts x once, and gives a float for a scalar and the input's shape for an array."""
+
+    def test_minimal_family(self):
+        d = _Minimal()
+        for method, want in ((d.pdf, 0.5), (d.cdf, 0.0625), (d.pdf_derivative, 2.0)):
+            for x in (0.25, np.float32(0.25)):
+                got = method(x)
+                assert type(got) is float and got == want
+            for shape in [(), (3,), (2, 3)]:
+                got = method(np.full(shape, 0.25))
+                assert np.shape(got) == shape and np.all(got == want)
+
+    @pytest.mark.parametrize("d", SIX, ids=_ids)
+    def test_array_is_bitwise_its_scalar_calls(self, d):
+        lo, hi = d.truncated_support(1e-3)
+        inside = np.array([d.quantile(p) for p in np.linspace(0.01, 0.99, 25)])
+        # pdf and cdf also at the infinities, one unit past the window on each side, -0.0 and the support ends
+        anywhere = np.concatenate([inside, [-math.inf, lo - 1.0, -0.0, hi + 1.0, math.inf], d.support()])
+        for method, xs in ((d.pdf, anywhere), (d.cdf, anywhere), (d.pdf_derivative, inside)):
+            got = method(xs)
+            want = [method(x) for x in xs.tolist()]
+            assert all(type(w) is float for w in want)
+            assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
 
 
 class TestQuantile:

@@ -418,6 +418,17 @@ class TestGridFunctionValidation:
         with pytest.raises(InvalidGrid):
             dataclasses.replace(g, cdf=cdf).validate()
 
+    # a NaN fails every comparison, and an infinite end leaves every spacing positive
+    @pytest.mark.parametrize("index, bad", [(50, math.nan), (-1, math.inf), (0, -math.inf)])
+    def test_non_finite_grid(self, index, bad):
+        g = _grid(Uniform(0.0, 1.0), n=101)
+        xs = g.xs.copy()
+        xs[index] = bad
+        g = dataclasses.replace(g, xs=xs)
+        for call in (g.validate, lambda: apply_derangetropy(g)):
+            with pytest.raises(InvalidGrid, match="^grid must be finite and strictly increasing$"):
+                call()
+
     def test_apply_revalidates_input(self):
         g = self._flat()
         bad = dataclasses.replace(g, density=g.density * 2.0)

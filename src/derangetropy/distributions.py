@@ -143,8 +143,9 @@ class Uniform(_Interval):
     b: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
-            raise DomainError(f"uniform needs finite a < b, got ({self.a!r}, {self.b!r})")
+        # a finite b - a needs finite ends, and an infinite one would pass the peak check as 1/inf = 0
+        if not (self.a < self.b and math.isfinite(self.b - self.a)):
+            raise DomainError(f"uniform needs finite a < b and width b - a, got ({self.a!r}, {self.b!r})")
         if not math.isfinite(1.0 / (self.b - self.a)):
             raise DomainError(f"uniform peak density 1/(b - a) overflows for ({self.a!r}, {self.b!r})")
 
@@ -304,14 +305,13 @@ class Tabulated(Distribution):
         fs = np.asarray(fs, dtype=float)
         if xs.ndim != 1 or xs.shape != fs.shape or xs.size < 2:
             raise ParseError("tabulated density needs matching 1-d x and f arrays")
-        dx = np.diff(xs)
-        if np.any(dx <= 0.0):
+        if np.any(np.diff(xs) <= 0.0):
             raise NonMonotoneGrid("tabulated grid must be strictly increasing")
         if float(np.min(fs)) < -1e-10 * max(1.0, float(np.max(np.abs(fs)))):
             raise NegativeDensity(f"tabulated density has negative entries down to {float(np.min(fs))!r}")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(fs))):
             raise NonFiniteSample("tabulated grid or density contains non-finite entries")
-        self.fs, self._cdf_nodes, mass = _unit_density(np.maximum(fs, 0.0), dx)
+        self.fs, self._cdf_nodes, mass = _unit_density(np.maximum(fs, 0.0), xs)
         self.xs = xs
         self.normalization = 1.0 / mass
 

@@ -235,50 +235,55 @@ def _pairwise_sum(terms: Callable, n: int, lo: int, hi: int, out: np.ndarray, st
     return float(out.sum())
 
 
-def _trapezoid(ys: np.ndarray, dx: np.ndarray, lo: int = 0, hi: int | None = None) -> float:
-    """Bit-identical to np.trapezoid(ys, xs) given dx = np.diff(xs), which callers share.
+def _trapezoid(ys: np.ndarray | Callable, xs: np.ndarray, lo: int = 0, hi: int | None = None) -> float:
+    """np.trapezoid(ys, xs) bit for bit: the package's one trapezoid rule.
 
-    Only the terms [lo, hi) are formed, a block at a time; the others must be +0.0.
+    ys is the integrand as an array, or as a function ys(s, e) that returns it
+    on nodes [s, e). Only the terms [lo, hi) are formed, a block at a time with
+    that block's spacings in scratch; the others must be +0.0.
     """
-    n = dx.size
+    n = xs.size - 1
+    spacings = np.empty(min(n, _BLOCK))
 
     def terms(s, e, out):
-        np.add(ys[s + 1 : e + 1], ys[s:e], out=out)
-        out *= dx[s:e]
+        y = ys(s, e + 1) if callable(ys) else ys[s : e + 1]
+        np.add(y[1:], y[:-1], out=out)
+        out *= np.subtract(xs[s + 1 : e + 1], xs[s:e], out=spacings[: e - s])
 
     return _pairwise_sum(terms, n, lo, n if hi is None else hi, np.empty(min(n, _BLOCK))) / 2.0
 
 
 def _unit_density(
-    ys: np.ndarray, dx: np.ndarray, lo: int = 0, hi: int | None = None
+    ys: np.ndarray, xs: np.ndarray, lo: int = 0, hi: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Scale sampled density values ys, in place, to unit trapezoid mass over spacings dx.
+    """Scale sampled density values ys on the grid xs, in place, to unit trapezoid mass.
 
     Returns (density, cdf, mass): density is ys divided by its mass, and cdf is
     its running trapezoid integral divided by its last value and clipped to
     [0, 1], so it runs exactly from 0 to 1. InvalidGrid unless the mass is
     positive and finite. If ys is +0.0 outside nodes [lo, hi), only those are
-    scaled and summed. Every pass goes a block at a time, with no temporary
-    the size of ys, and gives the bits of the same pass over the whole grid.
+    scaled and summed. Every pass goes a block at a time, spacings included, so
+    the cdf is its one new array the size of ys, with the whole-grid pass's bits.
     """
     n = ys.size
     # the steps [a, b) are those that touch nodes [lo, hi): the others are +0.0
     # and add nothing, and nodes a and b, if outside, stay +0.0 when scaled
     a, b = max(lo - 1, 0), n - 1 if hi is None else min(hi, n - 1)
-    mass = _trapezoid(ys, dx, a, b)
+    mass = _trapezoid(ys, xs, a, b)
     if not (mass > 0.0 and math.isfinite(mass)):
         raise InvalidGrid(f"sampled density has mass {mass!r}")
     cdf = np.empty(n)
     cdf[: a + 1] = 0.0
     cdf[b + 1 :] = 1.0
     ys[a] /= mass
-    half_dx = np.empty(min(n, _BLOCK))
+    spacings = np.empty(min(n, _BLOCK))
     # cdf[k + 1] sums steps a..k in sequence: each block's cumsum starts from
     # the last sum of the block before it
     for s, e in _blocks(a, b):
         ys[s + 1 : e + 1] /= mass
         steps = np.add(ys[s + 1 : e + 1], ys[s:e], out=cdf[s + 1 : e + 1])
-        steps *= np.multiply(0.5, dx[s:e], out=half_dx[: e - s])
+        dx = np.subtract(xs[s + 1 : e + 1], xs[s:e], out=spacings[: e - s])
+        steps *= np.multiply(0.5, dx, out=dx)
         if s > a:
             steps[0] += cdf[s]
         np.cumsum(steps, out=steps)

@@ -7,9 +7,9 @@ pre-renormalization mass of every step is kept as a health metric. Every level
 is fully validated, then evaluated only on its cdf interior, where 0 < F < 1,
 and one node past it, with the bits of an evaluation on the whole grid. Each
 pass (the checks, the kernel, the mass, the running sum, the moments) streams
-the grid in cache-sized blocks, so the only grid-sized arrays a step makes are
-the new density and cdf and the spacings; its sums follow numpy's pairwise
-tree, so they round as one np.sum over the whole grid would.
+the grid in cache-sized blocks, spacings included, so the only grid-sized
+arrays a step makes are the new density and cdf; its sums follow numpy's
+pairwise tree, so they round as one np.sum over the whole grid would.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .distributions import Distribution, _linear_cdf_quantile
 from .errors import DomainError, GridMismatch, InvalidGrid, NonFiniteSample
 from .functional import derangetropy_kernel
-from .numerics import _BLOCK, _blocks, _find, _pairwise_sum, _trapezoid, _unit_density
+from .numerics import _BLOCK, _blocks, _find, _trapezoid, _unit_density
 
 # slack on the unit-mass and cdf-range checks; renormalization makes the
 # stored arrays exact to rounding, so this only has to absorb float noise
@@ -45,17 +45,17 @@ class GridFunction:
     level: int
     prenorm_mass: float = 1.0
 
-    def validate(self) -> np.ndarray:
-        """Check every invariant of the level; return its spacings np.diff(xs)."""
+    def validate(self) -> None:
+        """Check every invariant of the level, a block at a time: no array the size of the grid."""
         xs, density, cdf = self.xs, self.density, self.cdf
         if xs.ndim != 1 or xs.shape != density.shape or xs.shape != cdf.shape:
             raise InvalidGrid("xs, density, cdf must be matching 1-d arrays")
         if xs.size < 2:
             raise InvalidGrid("grid needs at least two nodes")
-        dx = np.diff(xs)
-        # a NaN anywhere makes the minimum NaN, which fails the comparison; an infinity
+        # a NaN makes its block's least spacing NaN, which fails the comparison; an infinity
         # inside the grid makes a spacing NaN or -inf, so only the ends need their own check
-        if not (dx.min() > 0.0 and math.isfinite(xs[0]) and math.isfinite(xs[-1])):
+        spacings_positive = all(np.diff(xs[s : e + 1]).min() > 0.0 for s, e in _blocks(0, xs.size - 1))
+        if not (spacings_positive and math.isfinite(xs[0]) and math.isfinite(xs[-1])):
             raise InvalidGrid("grid must be finite and strictly increasing")
         # min and max carry any NaN or infinity
         bounds = (float(density.min()), float(density.max()), float(cdf.min()), float(cdf.max()))
@@ -67,12 +67,11 @@ class GridFunction:
             raise InvalidGrid("cdf must be nondecreasing")
         if abs(float(cdf[0])) > _MASS_TOL or abs(float(cdf[-1]) - 1.0) > _MASS_TOL:
             raise InvalidGrid("cdf must run from 0 to 1")
-        mass = _trapezoid(density, dx)
+        mass = _trapezoid(density, xs)
         if abs(mass - 1.0) > _MASS_TOL:
             raise InvalidGrid(f"density mass {mass!r} is not 1 within {_MASS_TOL}")
         if self.level < 0:
             raise InvalidGrid("level must be nonnegative")
-        return dx
 
     def cdf_at(self, t: float) -> float:
         return float(np.interp(t, self.xs, self.cdf))
@@ -112,13 +111,13 @@ def discretize(d: Distribution, n_points: int, tail_eps: float) -> GridFunction:
     # comparisons with NaN are False, so this also rejects NaN
     if not (density.min() >= 0.0 and density.max() < np.inf):
         raise InvalidGrid("pdf is not finite and nonnegative on the truncated grid")
-    density, cdf, mass = _unit_density(density, np.diff(xs))
+    density, cdf, mass = _unit_density(density, xs)
     return GridFunction(xs=xs, density=density, cdf=cdf, level=0, prenorm_mass=mass)
 
 
 def apply_derangetropy(g: GridFunction) -> GridFunction:
     """One application of the operator: reweight by the kernel on the cdf interior, renormalize."""
-    dx = g.validate()
+    g.validate()
     F, n = g.cdf, g.cdf.size
     # the cdf interior and one node past it on each side; outside [lo, hi) the kernel is a signed
     # zero, and so is its product with the density: +0.0, as written there, unless a sign bit meets it
@@ -130,7 +129,7 @@ def apply_derangetropy(g: GridFunction) -> GridFunction:
     for s, e in _blocks(lo, hi):
         derangetropy_kernel(np.clip(F[s:e], 0.0, 1.0, out=clipped[: e - s]), out=density[s:e])
         density[s:e] *= g.density[s:e]
-    density, cdf, prenorm = _unit_density(density, dx, lo, hi)
+    density, cdf, prenorm = _unit_density(density, g.xs, lo, hi)
     return GridFunction(xs=g.xs, density=density, cdf=cdf, level=g.level + 1, prenorm_mass=prenorm)
 
 
@@ -153,28 +152,23 @@ def convergence_metrics(g: GridFunction, delta: float, center: float | None = No
     """
     if not (delta > 0.0 and math.isfinite(delta)):
         raise DomainError(f"delta must be positive, got {delta!r}")
+    if center is not None and not math.isfinite(center):
+        raise DomainError(f"center must be finite, got {center!r}")
     med = g.median()
-    if center is None:
-        center = med
+    center = med if center is None else center
     # moment terms on the density's support only; the others add +0.0 to the pairwise sum
     xs, density, n = g.xs, g.density, g.xs.size
     a = max(_find(density, lambda block: block != 0.0) - 1, 0)
     b = max(min(n - _find(density[::-1], lambda block: block != 0.0), n - 1), a)
-    ys, spacings, scratch = np.empty((3, min(n, _BLOCK + 1)))
+    y = np.empty(min(n, _BLOCK + 1))
 
-    def moment(integrand):
-        def terms(s, e, out):
-            y = integrand(s, e + 1, ys[: e + 1 - s])
-            np.add(y[1:], y[:-1], out=out)
-            out *= np.subtract(xs[s + 1 : e + 1], xs[s:e], out=spacings[: e - s])
-
-        return _pairwise_sum(terms, n - 1, a, b, scratch) / 2.0
+    def centered(s, e):
+        d = np.subtract(xs[s:e], mean, out=y[: e - s])
+        return np.multiply(np.square(d, out=d), density[s:e], out=d)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = moment(lambda s, e, y: np.multiply(xs[s:e], density[s:e], out=y))
-        variance = moment(
-            lambda s, e, y: np.multiply(np.square(np.subtract(xs[s:e], mean, out=y), out=y), density[s:e], out=y)
-        )
+        mean = _trapezoid(lambda s, e: np.multiply(xs[s:e], density[s:e], out=y[: e - s]), xs, a, b)
+        variance = _trapezoid(centered, xs, a, b)
     if not (math.isfinite(mean) and math.isfinite(variance)):
         raise NonFiniteSample(f"level {g.level} has mean {mean!r} and variance {variance!r}")
     iqr = g.quantile(0.75) - g.quantile(0.25)
@@ -205,4 +199,4 @@ def l2_distance(g1: GridFunction, g2: GridFunction) -> float:
     xs = np.linspace(lo, hi, n)
     d1 = np.interp(xs, g1.xs, g1.density)
     d2 = np.interp(xs, g2.xs, g2.density)
-    return math.sqrt(_trapezoid((d1 - d2) ** 2, np.diff(xs)))
+    return math.sqrt(_trapezoid((d1 - d2) ** 2, xs))

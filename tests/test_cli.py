@@ -299,6 +299,7 @@ class TestConfigAndErrors:
             ["eval", "--dist", "arcsin:-1e300,1e300"],
             ["eval", "--dist", "normal:0,1e-320"],
             ["eval", "--dist", "uniform:0,1e-310", "--points", "101"],
+            ["eval", "--dist", "uniform:-1e308,1e308"],
         ],
     )
     def test_config_stage_failures(self, capsys, argv):

@@ -413,6 +413,7 @@ class TestParameterValidation:
             lambda: Arcsin(0.0, math.inf),
             lambda: Normal(0.0, 1e-320),
             lambda: Uniform(0.0, 1e-310),
+            lambda: Uniform(-1e308, 1e308),
         ],
     )
     def test_rejected(self, ctor):

@@ -16,6 +16,7 @@ from derangetropy import numerics
 from derangetropy.numerics import (
     QuadratureSpec,
     _pairwise_sum,
+    _trapezoid,
     _unit_density,
     central_difference,
     find_root,
@@ -176,13 +177,13 @@ class TestUnitDensity:
     """The sampled-density rule: trapezoid mass, then the running trapezoid cdf."""
 
     def test_flat_density(self):
-        density, cdf, mass = _unit_density(np.array([2.0, 2.0, 2.0]), np.array([0.5, 0.5]))
+        density, cdf, mass = _unit_density(np.array([2.0, 2.0, 2.0]), np.array([0.0, 0.5, 1.0]))
         assert mass == 2.0
         assert density.tolist() == [1.0, 1.0, 1.0]
         assert cdf.tolist() == [0.0, 0.5, 1.0]
 
     def test_triangle(self):
-        _, cdf, mass = _unit_density(np.array([0.0, 1.0, 0.0]), np.array([1.0, 1.0]))
+        _, cdf, mass = _unit_density(np.array([0.0, 1.0, 0.0]), np.array([0.0, 1.0, 2.0]))
         assert mass == 1.0
         assert cdf.tolist() == [0.0, 0.5, 1.0]
 
@@ -191,14 +192,14 @@ class TestUnitDensity:
         # with slopes +-24/e, about 1.47e-6; pin the bound, not exactness
         xs = np.linspace(0.0, 1.0, 1001)
         ys = _kernel_samples(xs)
-        _, _, mass = _unit_density(ys.copy(), np.diff(xs))
+        _, _, mass = _unit_density(ys.copy(), xs)
         assert abs(mass - 1.0) < 1.6e-6
         assert abs(mass - float(np.trapezoid(ys, xs))) < 1e-14
 
     def test_kernel_defect_shrinks_with_refinement(self):
         def defect(n):
             xs = np.linspace(0.0, 1.0, n)
-            return abs(_unit_density(_kernel_samples(xs), np.diff(xs))[2] - 1.0)
+            return abs(_unit_density(_kernel_samples(xs), xs)[2] - 1.0)
 
         assert defect(2001) < 4e-7 < defect(1001)
 
@@ -207,7 +208,7 @@ class TestUnitDensity:
         # is proportional to its cdf (sin, exp) would hide it in the division
         def error(n):
             xs = np.linspace(0.0, 1.0, n)
-            _, cdf, _ = _unit_density(3.0 * xs * xs, np.diff(xs))
+            _, cdf, _ = _unit_density(3.0 * xs * xs, xs)
             return float(np.max(np.abs(cdf - xs**3)))
 
         assert 3.9 < error(1001) / error(2001) < 4.1
@@ -219,7 +220,7 @@ class TestUnitDensity:
         xs = np.cumsum(rng.uniform(1e-3, 1.0, 5001))
         ys = rng.uniform(0.0, 3.0, 5001)
         oracle = cumulative_trapezoid(ys, xs, initial=0.0)
-        density, cdf, mass = _unit_density(ys.copy(), np.diff(xs))
+        density, cdf, mass = _unit_density(ys.copy(), xs)
         assert cdf[0] == 0.0 and cdf[-1] == 1.0
         np.testing.assert_allclose(mass, oracle[-1], rtol=1e-14)
         np.testing.assert_allclose(density, ys / oracle[-1], rtol=1e-14)
@@ -231,15 +232,15 @@ class TestUnitDensity:
         xs = np.cumsum(rng.uniform(0.1, 1.0, 9))
         ys = np.zeros(9)
         ys[lo:hi] = rng.uniform(0.5, 2.0, hi - lo)
-        whole = _unit_density(ys.copy(), np.diff(xs))
-        part = _unit_density(ys.copy(), np.diff(xs), lo, hi)
+        whole = _unit_density(ys.copy(), xs)
+        part = _unit_density(ys.copy(), xs, lo, hi)
         for w, p in zip(whole, part):
             assert np.asarray(w).tobytes() == np.asarray(p).tobytes()
 
     @pytest.mark.parametrize("ys", [[0.0, 0.0, 0.0], [1.0, math.inf, 1.0], [1.0, math.nan, 1.0]])
     def test_mass_must_be_positive_and_finite(self, ys):
         with pytest.raises(InvalidGrid):
-            _unit_density(np.array(ys), np.array([0.5, 0.5]))
+            _unit_density(np.array(ys), np.array([0.0, 0.5, 1.0]))
 
     @given(st.lists(st.floats(0.0, 100.0, allow_nan=False), min_size=2, max_size=40))
     @settings(max_examples=60, deadline=None)
@@ -248,7 +249,7 @@ class TestUnitDensity:
         ys = np.asarray(ys)
         # the rule rejects a mass that is 0, as [0, 5e-324] has after rounding
         assume(np.trapezoid(ys, xs) > 0.0)
-        _, cdf, mass = _unit_density(ys.copy(), np.diff(xs))
+        _, cdf, mass = _unit_density(ys.copy(), xs)
         assert np.all(np.diff(cdf) >= 0.0)
         assert abs(mass - float(np.trapezoid(ys, xs))) < 1e-9 * (1.0 + mass)
 
@@ -279,6 +280,44 @@ class TestPairwiseSum:
             t[:lo] = 0.0
             t[hi:] = 0.0
             assert repr(self._walk(t, lo, hi)) == repr(float(np.sum(t))), (n, lo, hi)
+
+
+class TestTrapezoid:
+    """The one trapezoid rule against np.trapezoid, bit for bit, with the integrand
+    given as an array and as a block function."""
+
+    @pytest.mark.parametrize("block", [128, None], ids=["block-128", "block-default"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_np_trapezoid_bitwise(self, seed, block, monkeypatch):
+        if block:
+            monkeypatch.setattr(numerics, "_BLOCK", block)
+        b = numerics._BLOCK
+        rng = np.random.default_rng(seed)
+        # from one term to 40 blocks of terms, whole and partial
+        sizes = [2, 3, b + 1, b + 2, 3 * b + 6] + rng.integers(2, 40 * b + 2, 2).tolist()
+        for n in sizes:
+            xs = np.cumsum(rng.uniform(1e-3, 1.0, n))
+            ys = rng.standard_normal(n) * np.exp(4.0 * rng.standard_normal(n))
+            scratch = np.full(min(n, b + 1), np.nan)
+            asked = []
+
+            def block_ys(s, e):
+                asked.append((s, e))
+                scratch[: e - s] = ys[s:e]
+                return scratch[: e - s]
+
+            # the whole grid, then ys nonzero only on nodes [lo, hi), so only the terms [a, z) that touch
+            # them are formed; the block function is asked only for their nodes, a block at a time
+            for lo, hi in [(0, n), sorted(rng.integers(0, n + 1, 2).tolist())]:
+                ys[:lo] = 0.0
+                ys[hi:] = 0.0
+                a, z = max(lo - 1, 0), min(hi, n - 1)
+                want = repr(float(np.trapezoid(ys, xs)))
+                asked.clear()
+                assert repr(_trapezoid(ys, xs)) == want, n
+                assert repr(_trapezoid(ys, xs, a, z)) == want, (n, lo, hi)
+                assert repr(_trapezoid(block_ys, xs, a, z)) == want, (n, lo, hi)
+                assert all(a <= s < e <= z + 1 and e - s <= b + 1 for s, e in asked), (n, lo, hi)
 
 
 class TestFindRoot:

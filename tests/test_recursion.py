@@ -229,7 +229,8 @@ class TestIterate:
 def _whole_grid_step(g):
     """apply_derangetropy as it was before it skipped the nodes outside its cdf
     interior, kept as its oracle: every sum and the kernel run over the whole grid."""
-    dx = g.validate()
+    g.validate()
+    dx = np.diff(g.xs)
     F = np.clip(g.cdf, 0.0, 1.0)
     q = 1.0 - F
     log_psi = np.log(F, out=np.zeros_like(F), where=F > 0.0)
@@ -381,10 +382,10 @@ class TestBlockedPasses:
                 peaks.append(tracemalloc.get_traced_memory()[1] / n)
         finally:
             tracemalloc.stop()
-        # the spacings take 8 bytes a node, a new level's density and cdf 16 more, and the
-        # rest is block scratch; whole-grid passes peaked at 33.0 bytes a node in a step
-        # and 17.0 in the metrics, and a bool mask of the grid would add 1
-        assert peaks[0] <= 8.5 and peaks[1] <= 26.0 and peaks[2] <= 2.0, peaks
+        # a new level's density and cdf take 16 bytes a node, and the rest is block scratch,
+        # spacings included; whole-grid passes peaked at 33.0 bytes a node in a step and
+        # 17.0 in the metrics, np.diff(xs) would add 8 and a bool mask of the grid 1
+        assert peaks[0] <= 0.5 and peaks[1] <= 16.5 and peaks[2] <= 2.0, peaks
 
 
 class TestGridFunctionValidation:
@@ -481,6 +482,11 @@ class TestConvergenceMetrics:
     def test_delta_domain(self, delta):
         with pytest.raises(DomainError):
             convergence_metrics(_grid(Uniform(0.0, 1.0)), delta)
+
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+    def test_center_domain(self, center):
+        with pytest.raises(DomainError, match="center must be finite"):
+            convergence_metrics(_grid(Uniform(0.0, 1.0)), 0.1, center=center)
 
 
 class TestL2Distance:

@@ -60,14 +60,15 @@ class EnergyBreakdown:
 def _neg_entropy(F: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """F*log(F) + (1-F)*log(1-F), i.e. -H_B(F), element-wise for F in [0, 1], into out if given."""
     out = np.subtract(1.0, F, out=np.empty_like(F) if out is None else out)
-    # log is skipped where its argument is 0, which leaves 0*log(0) = 0: the
-    # zeros of qlogq stay, and so does 1 - F = 1 in out, which F = 0 zeroes
-    qlogq = np.log(out, out=np.zeros_like(out), where=out > 0.0)
-    qlogq *= out
-    np.log(F, out=out, where=F > 0.0)
-    out *= F
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qlogq = np.log(out)
+        qlogq *= out
+        np.log(F, out=out)
+        out *= F
     out += qlogq
-    return out
+    # 0*log(0) is NaN only where F is 0 or 1, and no other sum is positive: fmin
+    # writes the limit +0.0 there, mask-free, and leaves every other bit
+    return np.fmin(out, 0.0, out=out)
 
 
 def bernoulli_entropy(p):
@@ -78,8 +79,8 @@ def bernoulli_entropy(p):
     arr = np.asarray(p, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
         raise DomainError(f"bernoulli_entropy needs p in [0,1], got {p!r}")
-    # maximum turns the -0.0 at p = 0 and p = 1 into 0.0
-    h = np.maximum(-_neg_entropy(arr), 0.0)
+    # 0.0 - x is -x bit for bit, except that it makes +0.0 of the +0.0 at p = 0 and p = 1
+    h = np.subtract(0.0, _neg_entropy(arr))
     return float(h) if arr.ndim == 0 else h
 
 
@@ -88,21 +89,23 @@ def derangetropy_kernel(F, out=None):
 
     Multiplying a density f(x) by this factor evaluated at its own cdf gives
     rho. Computed in log space as SCALE * sin(pi*F) * exp(-H_B(F)), sharing
-    -H_B with bernoulli_entropy, and exactly zero at F = 0 and F = 1.
+    -H_B with bernoulli_entropy: +0.0 at F = 0 and F = 1, and -0.0 at F = -0.0.
     Given out, a float array of F's shape sharing no memory with F, it writes the same bits there and returns out.
     derangetropy_gamma_form and the 50-digit mpmath test are its oracles.
     """
     arr = np.asarray(F, dtype=float)
     # comparisons with NaN are False, so this also rejects NaN
-    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+    top = arr.max() if arr.size else 0.0
+    if arr.size and not (arr.min() >= 0.0 and top <= 1.0):
         raise DomainError(f"kernel needs F in [0,1], got {F!r}")
     val = _neg_entropy(arr, out)
     np.exp(val, out=val)
     # one temporary at a time, since fresh pages cost more than the arithmetic
     osc = np.multiply(np.pi, arr, out=np.empty_like(arr))
     val *= np.multiply(np.sin(osc, out=osc), SCALE, out=osc)
-    # sin(np.pi) is 1.2e-16, not 0
-    val *= arr < 1.0
+    # sin(np.pi) is 1.2e-16, not 0; only a block that holds F = 1 pays for the write-back
+    if top == 1.0:
+        val[arr == 1.0] = 0.0
     return float(val) if arr.ndim == 0 else val
 
 

@@ -196,6 +196,9 @@ def _adaptive_simpson(f: Callable, a: float, b: float, spec: QuadratureSpec) -> 
 # scratch stay in L2; at least 128, the length numpy sums without splitting
 _BLOCK = 1 << 14
 
+# the smallest normal float64; below it a product rounds to a fixed step, not relatively
+_TINY = float(np.finfo(float).tiny)
+
 
 def _blocks(lo: int, hi: int):
     """(start, stop) of the consecutive blocks of at most _BLOCK indices that cover [lo, hi)."""
@@ -261,9 +264,13 @@ def _unit_density(
     Returns (density, cdf, mass): density is ys divided by its mass, and cdf is
     its running trapezoid integral divided by its last value and clipped to
     [0, 1], so it runs exactly from 0 to 1. InvalidGrid unless the mass is
-    positive and finite. If ys is +0.0 outside nodes [lo, hi), only those are
-    scaled and summed. Every pass goes a block at a time, spacings included, so
-    the cdf is its one new array the size of ys, with the whole-grid pass's bits.
+    positive and finite, at least n smallest normal numbers for n nodes, and
+    the scaled density's running integral is finite. So density is finite with
+    unit trapezoid mass to rounding: below that floor, terms rounded as
+    subnormals could leave it off by more. If ys is +0.0 outside nodes [lo, hi),
+    only those are scaled and summed. Every pass goes a block at a time, spacings
+    included, so the cdf is its one new array the size of ys, with the whole-grid
+    pass's bits.
     """
     n = ys.size
     # the steps [a, b) are those that touch nodes [lo, hi): the others are +0.0
@@ -272,22 +279,28 @@ def _unit_density(
     mass = _trapezoid(ys, xs, a, b)
     if not (mass > 0.0 and math.isfinite(mass)):
         raise InvalidGrid(f"sampled density has mass {mass!r}")
+    if mass < n * _TINY:
+        raise InvalidGrid(f"sampled density has mass {mass!r}, too small to scale to unit mass")
     cdf = np.empty(n)
     cdf[: a + 1] = 0.0
     cdf[b + 1 :] = 1.0
-    ys[a] /= mass
     spacings = np.empty(min(n, _BLOCK))
-    # cdf[k + 1] sums steps a..k in sequence: each block's cumsum starts from
-    # the last sum of the block before it
-    for s, e in _blocks(a, b):
-        ys[s + 1 : e + 1] /= mass
-        steps = np.add(ys[s + 1 : e + 1], ys[s:e], out=cdf[s + 1 : e + 1])
-        dx = np.subtract(xs[s + 1 : e + 1], xs[s:e], out=spacings[: e - s])
-        steps *= np.multiply(0.5, dx, out=dx)
-        if s > a:
-            steps[0] += cdf[s]
-        np.cumsum(steps, out=steps)
+    # an overflow shows in the total, which is checked next
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys[a] /= mass
+        # cdf[k + 1] sums steps a..k in sequence: each block's cumsum starts from
+        # the last sum of the block before it
+        for s, e in _blocks(a, b):
+            ys[s + 1 : e + 1] /= mass
+            steps = np.add(ys[s + 1 : e + 1], ys[s:e], out=cdf[s + 1 : e + 1])
+            dx = np.subtract(xs[s + 1 : e + 1], xs[s:e], out=spacings[: e - s])
+            steps *= np.multiply(0.5, dx, out=dx)
+            if s > a:
+                steps[0] += cdf[s]
+            np.cumsum(steps, out=steps)
     total = cdf[b]
+    if not math.isfinite(total):
+        raise InvalidGrid(f"sampled density of mass {mass!r} overflows when scaled to unit mass")
     for s, e in _blocks(a + 1, b + 1):
         np.clip(np.divide(cdf[s:e], total, out=cdf[s:e]), 0.0, 1.0, out=cdf[s:e])
     return ys, cdf, mass

@@ -3,13 +3,16 @@
 The iteration starts from a density sampled on a fixed uniform grid and
 repeatedly multiplies by the kernel evaluated at the current cdf, then
 renormalizes. Mass drifts only through trapezoid error, and the
-pre-renormalization mass of every step is kept as a health metric. Every level
-is fully validated, then evaluated only on its cdf interior, where 0 < F < 1,
-and one node past it, with the bits of an evaluation on the whole grid. Each
-pass (the checks, the kernel, the mass, the running sum, the moments) streams
-the grid in cache-sized blocks, spacings included, so the only grid-sized
-arrays a step makes are the new density and cdf; its sums follow numpy's
-pairwise tree, so they round as one np.sum over the whole grid would.
+pre-renormalization mass of every step is kept as a health metric. A level
+handed to apply_derangetropy is fully validated, except the levels that
+iterate's own steps build from a seed with no sign bit, which are valid by
+construction (see iterate). Each step is evaluated only on the cdf interior,
+where 0 < F < 1, and one node past it, with the bits of an evaluation on the
+whole grid. Each pass (the checks, the kernel, the mass, the running sum, the
+moments) streams the grid in cache-sized blocks, spacings included, so the
+only grid-sized arrays a step makes are the new density and cdf; its sums
+follow numpy's pairwise tree, so they round as one np.sum over the whole grid
+would.
 """
 
 from __future__ import annotations
@@ -115,16 +118,27 @@ def discretize(d: Distribution, n_points: int, tail_eps: float) -> GridFunction:
     return GridFunction(xs=xs, density=density, cdf=cdf, level=0, prenorm_mass=mass)
 
 
-def apply_derangetropy(g: GridFunction) -> GridFunction:
-    """One application of the operator: reweight by the kernel on the cdf interior, renormalize."""
-    g.validate()
+def apply_derangetropy(g: GridFunction, *, _trusted: bool = False) -> GridFunction:
+    """One application of the operator: reweight by the kernel on the cdf interior, renormalize.
+
+    g is validated in full, unless iterate passes _trusted for a level that its
+    own step built from a seed with no sign bit (see iterate). Such a level is
+    valid, its cdf is nondecreasing from exactly 0 to exactly 1, and no entry of
+    it has its sign bit set, so its interior is found by binary search and
+    nothing needs a sign-bit scan.
+    """
     F, n = g.cdf, g.cdf.size
-    # the cdf interior and one node past it on each side; outside [lo, hi) the kernel is a signed
-    # zero, and so is its product with the density: +0.0, as written there, unless a sign bit meets it
-    lo = max(_find(F, lambda block: block > 0.0) - 1, 0)
-    hi = max(min(n + 1 - _find(F[::-1], lambda block: block < 1.0), n), lo)
-    if any(_find(part, np.signbit) >= 0 for part in (F[:lo], g.density[:lo], g.density[hi:])):
-        lo, hi = 0, n
+    if _trusted:
+        lo = max(int(np.searchsorted(F, 0.0, side="right")) - 1, 0)
+        hi = min(int(np.searchsorted(F, 1.0)) + 1, n)
+    else:
+        g.validate()
+        # the cdf interior and one node past it on each side; outside [lo, hi) the kernel is a signed
+        # zero, and so is its product with the density: +0.0, as written there, unless a sign bit meets it
+        lo = max(_find(F, lambda block: block > 0.0) - 1, 0)
+        hi = max(min(n + 1 - _find(F[::-1], lambda block: block < 1.0), n), lo)
+        if any(_find(part, np.signbit) >= 0 for part in (F[:lo], g.density[:lo], g.density[hi:])):
+            lo, hi = 0, n
     density, clipped = np.zeros(n), np.empty(min(n, _BLOCK))
     for s, e in _blocks(lo, hi):
         derangetropy_kernel(np.clip(F[s:e], 0.0, 1.0, out=clipped[: e - s]), out=density[s:e])
@@ -134,12 +148,26 @@ def apply_derangetropy(g: GridFunction) -> GridFunction:
 
 
 def iterate(g0: GridFunction, n: int) -> list[GridFunction]:
-    """Levels 0..n of the recursion, starting from g0."""
+    """Levels 0..n of the recursion, starting from g0.
+
+    g0 is validated by the first step. Each later level is built by the step
+    before it and reaches the next one untouched, since no other code runs in
+    between, and it meets every check of validate by construction: its density
+    is the kernel (at least +0.0) times a density with no sign bit, divided by
+    a mass that _unit_density accepts only if the quotient is finite with unit
+    mass to rounding, and its cdf is a running sum of nonnegative steps divided
+    by its total, so it is nondecreasing from exactly 0 to exactly 1. So when
+    no entry of g0.density or g0.cdf has its sign bit set, no level has one,
+    and every later step is trusted: it skips validate and the sign-bit scans.
+    A signed zero in g0 can carry into later levels, so then every step checks
+    and scans in full. The levels are the same bits either way.
+    """
     if n < 1:
         raise DomainError(f"n must be at least 1, got {n!r}")
-    levels = [g0]
-    for _ in range(n):
-        levels.append(apply_derangetropy(levels[-1]))
+    levels = [g0, apply_derangetropy(g0)]
+    trusted = all(_find(a, np.signbit) < 0 for a in (g0.density, g0.cdf))
+    for _ in range(n - 1):
+        levels.append(apply_derangetropy(levels[-1], _trusted=trusted))
     return levels
 
 

@@ -59,6 +59,11 @@ class TestBernoulliEntropy:
         assert bernoulli_entropy(0.0) == 0.0
         assert bernoulli_entropy(1.0) == 0.0
 
+    @pytest.mark.parametrize("p", [0, 1, 0.0, 1.0, -0.0])
+    def test_ends_are_positive_zero(self, p):
+        h = bernoulli_entropy(p)
+        assert type(h) is float and h == 0.0 and math.copysign(1.0, h) == 1.0
+
     def test_array_input(self):
         out = bernoulli_entropy(np.array([0.0, 0.5, 1.0]))
         assert out == pytest.approx([0.0, math.log(2.0), 0.0], abs=1e-15)
@@ -126,6 +131,49 @@ class TestKernel:
             ref = scale * mp.sin(mp.pi * F) * F**F * (1 - F) ** (1 - F)
             worst = max(worst, float(abs((mp.mpf(g) - ref) / ref)))
         assert worst <= 1e-13
+
+
+def _masked_kernel(F):
+    """The kernel as tests/test_recursion.py::_whole_grid_step spells it: logs
+    masked to 0 where their argument is 0, then zeroed where F is not below 1."""
+    q = 1.0 - F
+    log_psi = np.log(F, out=np.zeros_like(F), where=F > 0.0)
+    log_psi *= F
+    log_psi += q * np.log(q, out=np.zeros_like(q), where=q > 0.0)
+    density = SCALE * np.sin(np.pi * F)
+    density *= np.exp(log_psi)
+    density *= F < 1.0
+    return density
+
+
+class TestMaskFreeKernel:
+    """The kernel's plain logs and end write-back give the masked formula's bits."""
+
+    ENDS = [0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0]
+
+    @pytest.mark.parametrize("F", ENDS)
+    def test_scalar_form(self, F):
+        got = derangetropy_kernel(F)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == _masked_kernel(np.array([F])).tobytes()
+
+    def test_out_form_at_the_ends(self):
+        F = np.array(self.ENDS)
+        out = np.full(F.size, np.nan)
+        assert derangetropy_kernel(F, out=out) is out
+        assert out.tobytes() == _masked_kernel(F).tobytes()
+        # the signed zeros survive: +0.0 at F = 0 and F = 1, -0.0 at F = -0.0
+        assert np.signbit(out[:2]).tolist() == [False, True] and not np.signbit(out[-1])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_out_form_on_a_sorted_block(self, seed):
+        # a recursion block: a sorted cdf stretch with its edge nodes at exactly 0 and 1
+        F = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, 1 << 14))
+        F[:3], F[-3:] = 0.0, 1.0
+        out = np.full(F.size, np.nan)
+        derangetropy_kernel(F, out=out)
+        assert out.tobytes() == _masked_kernel(F).tobytes()
+        assert out.tobytes() == derangetropy_kernel(F).tobytes()
 
 
 class TestPointEvaluation:

@@ -129,6 +129,39 @@ class TestSampledDensityRule:
         with pytest.raises(InvalidGrid):
             discretize(Spoiled(), n_points=101, tail_eps=1e-6)
 
+    @pytest.mark.parametrize(
+        "xs, density, cdf, message",
+        [
+            # a positive, finite mass of 1.4e-320, which would scale the density to [0, inf, 0, 0]
+            (
+                [0.0, 1e-320, 2e-320, 1.0],
+                [0.0, 1.0, 0.0, 2.0],
+                [0.0, 0.5, 1.0, 1.0],
+                r"sampled density has mass 1\.405e-320, too small to scale to unit mass",
+            ),
+            # a subnormal mass of 1.4e-319, good to 4e-5 only: the scaled level would have mass 1.000017
+            (
+                [-1.0, 0.0, 1e-306, 2e-306, 1.0],
+                [1.0, 1.0, 1e-13, 0.0, 0.0],
+                [0.0, 0.0, 0.5, 1.0, 1.0],
+                r"sampled density has mass 1\.405\d*e-319, too small to scale to unit mass",
+            ),
+            # a normal mass that the density still overflows to inf when divided by
+            (
+                [-1.0, 0.0, 1e-310, 2e-310, 1.0],
+                [1.0, 1.0, 1e4, 0.0, 0.0],
+                [0.0, 0.0, 0.5, 1.0, 1.0],
+                r"sampled density of mass 1\.405\d*e-306 overflows when scaled to unit mass",
+            ),
+        ],
+        ids=["tiny-mass", "subnormal-terms", "overflow"],
+    )
+    def test_step_that_cannot_reach_unit_mass(self, xs, density, cdf, message):
+        g = GridFunction(xs=np.array(xs), density=np.array(density), cdf=np.array(cdf), level=0)
+        g.validate()
+        with pytest.raises(InvalidGrid, match=f"^{message}$"):
+            apply_derangetropy(g)
+
     def test_zero_reweighted_density(self):
         # a valid level whose mass sits where the cdf is 0 or 1, so the kernel erases all of it
         g = GridFunction(
@@ -282,6 +315,24 @@ def _hand_built(**edits):
     return g
 
 
+# valid 101-node seeds that stress the interior search: cdf dips within the
+# validation slack, signed zeros and negative entries
+HAND_BUILT_EDITS = [
+    # dips back to 0 and to 1 inside the interior, within the validation slack
+    {
+        "cdf": (
+            [1, 2, 3, 4, 5, 95, 96, 97, 98, 99],
+            [0.0, 0.0, 0.5 * _MASS_TOL, 0.0, 0.0, 1.0, 1.0, 1.0 - 0.5 * _MASS_TOL, 1.0, 1.0],
+        )
+    },
+    {"cdf": ([0, 1, 2], [-0.0, -0.0, 0.02])},
+    {"cdf": ([0, 1], [-1e-12, 0.0])},
+    {"cdf": ([0, 1, 99, 100], [0.0, 0.0, 1.0, 1.0]), "density": ([0, 1, 100], [-0.0, -1e-12, -0.0])},
+    {"cdf": ([0, 1, 99, 100], [0.0, 0.0, 1.0, 1.0]), "density": ([0, 1, 99, 100], [0.0, 0.0, 0.0, 0.0])},
+]
+HAND_BUILT_IDS = ["dips", "negative-zero-cdf", "negative-cdf", "negative-zero-density", "zero-density"]
+
+
 class TestInteriorOnlyMatchesWholeGrid:
     """apply_derangetropy works only where 0 < F < 1, with the bits of the whole-grid step."""
 
@@ -297,23 +348,7 @@ class TestInteriorOnlyMatchesWholeGrid:
             _assert_same_bits(g, oracle)
             assert repr(convergence_metrics(g, delta, center)) == repr(_whole_grid_metrics(oracle, delta, center))
 
-    @pytest.mark.parametrize(
-        "edits",
-        [
-            # dips back to 0 and to 1 inside the interior, within the validation slack
-            {
-                "cdf": (
-                    [1, 2, 3, 4, 5, 95, 96, 97, 98, 99],
-                    [0.0, 0.0, 0.5 * _MASS_TOL, 0.0, 0.0, 1.0, 1.0, 1.0 - 0.5 * _MASS_TOL, 1.0, 1.0],
-                )
-            },
-            {"cdf": ([0, 1, 2], [-0.0, -0.0, 0.02])},
-            {"cdf": ([0, 1], [-1e-12, 0.0])},
-            {"cdf": ([0, 1, 99, 100], [0.0, 0.0, 1.0, 1.0]), "density": ([0, 1, 100], [-0.0, -1e-12, -0.0])},
-            {"cdf": ([0, 1, 99, 100], [0.0, 0.0, 1.0, 1.0]), "density": ([0, 1, 99, 100], [0.0, 0.0, 0.0, 0.0])},
-        ],
-        ids=["dips", "negative-zero-cdf", "negative-cdf", "negative-zero-density", "zero-density"],
-    )
+    @pytest.mark.parametrize("edits", HAND_BUILT_EDITS, ids=HAND_BUILT_IDS)
     def test_hand_built_levels(self, edits):
         g = oracle = _hand_built(**edits)
         for _ in range(3):
@@ -339,6 +374,55 @@ class TestInteriorOnlyMatchesWholeGrid:
             _whole_grid_step(g)
         with pytest.raises(InvalidGrid, match=f"^{re.escape(str(oracle.value))}$"):
             apply_derangetropy(g)
+
+
+def _count_validate(monkeypatch):
+    """Record the level of every GridFunction.validate call from now on."""
+    levels, validate = [], GridFunction.validate
+
+    def counted(g):
+        levels.append(g.level)
+        validate(g)
+
+    monkeypatch.setattr(GridFunction, "validate", counted)
+    return levels
+
+
+class TestTrustedLevels:
+    """iterate checks its seed once, and a later level fully only if the seed has a sign bit."""
+
+    @pytest.mark.parametrize("d", ZOO, ids=_ids)
+    def test_zoo_seed_validated_once(self, d, monkeypatch):
+        g0 = _grid(d)
+        validated = _count_validate(monkeypatch)
+        levels = iterate(g0, 10)
+        assert validated == [0]
+        for g in levels:
+            g.validate()
+
+    @pytest.mark.parametrize("edits", HAND_BUILT_EDITS, ids=HAND_BUILT_IDS)
+    def test_hand_built_seeds(self, edits, monkeypatch):
+        g0 = _hand_built(**edits)
+        signed = any(np.signbit(a).any() for a in (g0.density, g0.cdf))
+        validated = _count_validate(monkeypatch)
+        levels = iterate(g0, 10)
+        # a seed with a sign bit has every level checked and scanned; the dips of a
+        # sign-free seed end with it, since a step's cdf is a running sum
+        assert validated == (list(range(10)) if signed else [0])
+        monkeypatch.undo()
+        chained = oracle = g0
+        for g in levels[1:]:
+            chained, oracle = apply_derangetropy(chained), _whole_grid_step(oracle)
+            _assert_same_bits(g, chained)
+            _assert_same_bits(g, oracle)
+        for g in levels:
+            g.validate()
+
+    def test_public_step_validates_every_argument(self, monkeypatch):
+        g = iterate(_grid(Normal(0.0, 1.0)), 2)[-1]
+        validated = _count_validate(monkeypatch)
+        apply_derangetropy(apply_derangetropy(g))
+        assert validated == [2, 3]
 
 
 class TestBlockedPasses:

@@ -20,7 +20,7 @@ import numpy as np
 from .distributions import Tabulated, from_spec
 from .errors import DerangetropyError, DomainError, ParseError
 from .functional import derangetropy_profile, energy_decomposition
-from .numerics import QuadratureSpec
+from .numerics import ABS_TOL
 from .recursion import ConvergenceMetrics, convergence_metrics, discretize, iterate
 from .verify import SUITES, run_suite
 
@@ -140,17 +140,17 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _quad_spec_from_env() -> QuadratureSpec | None:
+def _abs_tol_from_env() -> float:
     raw = os.environ.get(_ENV_TOL)
     if raw is None:
-        return None
+        return ABS_TOL
     try:
         tol = float(raw)
     except ValueError:
         raise ParseError(f"{_ENV_TOL}={raw!r} is not a number") from None
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ParseError(f"{_ENV_TOL} must be a positive finite number, got {raw!r}")
-    return QuadratureSpec(abs_tol=tol)
+    return tol
 
 
 def _table(columns: dict, fmt: str):
@@ -230,8 +230,8 @@ def _cmd_recurse(d, cfg) -> str:
     return grid_table + "\n" + metric_table
 
 
-def _cmd_verify(cfg, spec: QuadratureSpec | None) -> tuple[str, int]:
-    reports = run_suite(cfg["suite"], spec)
+def _cmd_verify(cfg, abs_tol: float) -> tuple[str, int]:
+    reports = run_suite(cfg["suite"], abs_tol)
     text = _render_json([r.to_dict() for r in reports])
     code = 0 if all(r.passed for r in reports) else 1
     return text, code
@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         if args.command == "verify":
-            spec = _quad_spec_from_env()
+            abs_tol = _abs_tol_from_env()
         else:
             d = _make_dist(cfg)
     except DerangetropyError as exc:
@@ -272,7 +272,7 @@ def main(argv=None) -> int:
         elif args.command == "recurse":
             text, code = _cmd_recurse(d, cfg), 0
         else:
-            text, code = _cmd_verify(cfg, spec)
+            text, code = _cmd_verify(cfg, abs_tol)
     except DerangetropyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -3,21 +3,19 @@
 Everything downstream (normalization checks, energy profiles, the recursion)
 runs through this module, so the routines here are deliberately conservative:
 adaptive refinement with explicit budgets, hard errors on non-finite samples,
-and no silent fallbacks.
+and no silent fallbacks. `integrate` has one rule; `_adaptive_simpson` is the
+tests' independent oracle for it, and nothing in the package calls it.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, InvalidGrid, NoSignChange, NonConvergence, NonFiniteSample
-
-_METHODS = ("gauss_legendre_composite", "adaptive_simpson")
 
 # Panel orders for the composite Gauss-Legendre rule. The low-order value is
 # only used for the error estimate; the returned value always comes from the
@@ -25,26 +23,11 @@ _METHODS = ("gauss_legendre_composite", "adaptive_simpson")
 _GL_LOW = 12
 _GL_HIGH = 24
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Method selection plus convergence budget for `integrate`.
+# the bound `integrate` asks of its estimated absolute error unless told otherwise
+ABS_TOL = 1e-10
 
-    abs_tol is the target bound on the estimated absolute error of the whole
-    integral. max_subdivisions caps how many panel splits the adaptive driver
-    may perform before giving up with NonConvergence.
-    """
-
-    method: str = "gauss_legendre_composite"
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 1 << 20
-
-    def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise DomainError(f"unknown quadrature method {self.method!r}")
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise DomainError("abs_tol must be a positive finite number")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be at least 1")
+# panel splits an adaptive rule may make before it gives up with NonConvergence
+_MAX_SPLITS = 1 << 20
 
 
 _gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -78,30 +61,27 @@ def _sample_one(f: Callable, x: float) -> float:
     return y
 
 
-def integrate(f: Callable, a: float, b: float, spec: QuadratureSpec | None = None) -> float:
-    """Adaptive quadrature of f over [a, b].
+def integrate(f: Callable, a: float, b: float, abs_tol: float = ABS_TOL) -> float:
+    """Adaptive quadrature of f over [a, b] to an estimated absolute error of abs_tol.
 
-    The default method is a composite Gauss-Legendre rule whose panels are
-    split greedily where the error estimate is worst; because the nodes are
-    strictly interior, integrable endpoint singularities (inverse square
-    roots, x^x terms) are handled by geometric panel grading rather than by
-    special-casing. `adaptive_simpson` is kept as an independent second route
-    for cross-checks.
+    The rule is a composite Gauss-Legendre one whose panels are split greedily
+    where the error estimate is worst; because the nodes are strictly interior,
+    integrable endpoint singularities (inverse square roots, x^x terms) are
+    handled by geometric panel grading rather than by special-casing. The tests
+    check it against `_adaptive_simpson`, an independent rule.
     """
-    if spec is None:
-        spec = QuadratureSpec()
+    if not (abs_tol > 0.0 and math.isfinite(abs_tol)):
+        raise DomainError("abs_tol must be a positive finite number")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integration endpoints must be finite")
     if a == b:
         return 0.0
     if a > b:
-        return -integrate(f, b, a, spec)
-    if spec.method == "gauss_legendre_composite":
-        return _gauss_legendre_composite(f, a, b, spec)
-    return _adaptive_simpson(f, a, b, spec)
+        return -integrate(f, b, a, abs_tol)
+    return _gauss_legendre_composite(f, a, b, abs_tol)
 
 
-def _gauss_legendre_composite(f: Callable, a: float, b: float, spec: QuadratureSpec) -> float:
+def _gauss_legendre_composite(f: Callable, a: float, b: float, abs_tol: float) -> float:
     """Greedy panel splitting with a 12-node error estimate beside each 24-node value.
 
     f is sampled once per step: once on the 12 + 24 nodes of [a, b] (36
@@ -129,10 +109,10 @@ def _gauss_legendre_composite(f: Callable, a: float, b: float, spec: QuadratureS
     seq = 1
     total_err = err
     splits = 0
-    while total_err > spec.abs_tol:
-        if splits >= spec.max_subdivisions:
+    while total_err > abs_tol:
+        if splits >= _MAX_SPLITS:
             raise NonConvergence(
-                f"gauss_legendre_composite: error {total_err:.3e} > {spec.abs_tol:.3e} "
+                f"gauss_legendre_composite: error {total_err:.3e} > {abs_tol:.3e} "
                 f"after {splits} panel splits"
             )
         neg_err, _, lo, hi, _val = heapq.heappop(heap)
@@ -151,7 +131,8 @@ def _gauss_legendre_composite(f: Callable, a: float, b: float, spec: QuadratureS
     return math.fsum(entry[4] for entry in heap)
 
 
-def _adaptive_simpson(f: Callable, a: float, b: float, spec: QuadratureSpec) -> float:
+def _adaptive_simpson(f: Callable, a: float, b: float, abs_tol: float) -> float:
+    """Adaptive Simpson over a < b: the tests' oracle for `integrate`, sharing only its split budget."""
     # The top-level endpoint samples are nudged inward so integrands with
     # removable endpoint trouble (0^0 conventions, 1/sqrt factors already
     # multiplied away) do not trip the finiteness check.
@@ -162,7 +143,7 @@ def _adaptive_simpson(f: Callable, a: float, b: float, spec: QuadratureSpec) -> 
     fmid = _sample_one(f, mid)
     whole = (b - a) * (fa + 4.0 * fmid + fb) / 6.0
 
-    stack = [(a, fa, b, fb, mid, fmid, whole, spec.abs_tol)]
+    stack = [(a, fa, b, fb, mid, fmid, whole, abs_tol)]
     pieces = []
     splits = 0
     while stack:
@@ -177,7 +158,7 @@ def _adaptive_simpson(f: Callable, a: float, b: float, spec: QuadratureSpec) -> 
         if abs(delta) <= 15.0 * tol0:
             pieces.append(left + right + delta / 15.0)
             continue
-        if splits >= spec.max_subdivisions:
+        if splits >= _MAX_SPLITS:
             raise NonConvergence(
                 f"adaptive_simpson: interval [{a0!r}, {b0!r}] still above tolerance "
                 f"after {splits} subdivisions"

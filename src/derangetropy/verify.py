@@ -29,7 +29,7 @@ from .functional import (
     derangetropy_profile,
     total_energy_derivative,
 )
-from .numerics import QuadratureSpec, central_difference, find_root, integrate
+from .numerics import ABS_TOL, central_difference, find_root, integrate
 
 # target value of the appendix integral, pi*e/24 in double precision
 APPENDIX_CONSTANT = math.pi * math.e / 24.0
@@ -91,37 +91,33 @@ def appendix_integrand(z):
     return derangetropy_kernel(z) / SCALE
 
 
-def verify_appendix_constant(spec: QuadratureSpec | None = None, tolerance: float = 1e-8) -> VerificationReport:
-    if spec is None:
-        spec = QuadratureSpec()
-    value = integrate(appendix_integrand, 0.0, 1.0, spec)
+def verify_appendix_constant(abs_tol: float = ABS_TOL, tolerance: float = 1e-8) -> VerificationReport:
+    value = integrate(appendix_integrand, 0.0, 1.0, abs_tol)
     return VerificationReport.build(
         "appendix_constant",
         residual=abs(value - APPENDIX_CONSTANT),
         tolerance=tolerance,
         value=value,
         target=APPENDIX_CONSTANT,
-        method=spec.method,
-        abs_tol=spec.abs_tol,
+        method="gauss_legendre_composite",
+        abs_tol=abs_tol,
     )
 
 
 def verify_normalization(
     d: Distribution,
-    spec: QuadratureSpec | None = None,
+    abs_tol: float = ABS_TOL,
     tail_eps: float = 1e-9,
     tolerance: float = 1e-6,
 ) -> VerificationReport:
     """Quadrature check that rho integrates to 1 over the (truncated) support."""
-    if spec is None:
-        spec = QuadratureSpec()
     lo, hi = d.truncated_support(tail_eps)
 
     def integrand(xs):
         _, _, rho = derangetropy_profile(d, xs)
         return rho
 
-    value = integrate(integrand, lo, hi, spec)
+    value = integrate(integrand, lo, hi, abs_tol)
     return VerificationReport.build(
         f"normalization:{_label(d)}",
         residual=abs(value - 1.0),
@@ -130,7 +126,7 @@ def verify_normalization(
         lo=lo,
         hi=hi,
         tail_eps=tail_eps,
-        abs_tol=spec.abs_tol,
+        abs_tol=abs_tol,
     )
 
 
@@ -241,7 +237,7 @@ def find_equilibria(d: Distribution, n_brackets: int = 64) -> list[Equilibrium]:
     xs = np.linspace(lo, hi, n_brackets + 1)
     vals = total_energy_derivative(d, xs)
     roots = xs[vals == 0.0].tolist()
-    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+    for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0):
         roots.append(find_root(energy_prime, float(xs[i]), float(xs[i + 1]), tol=root_tol))
 
     merged: list[float] = []
@@ -272,7 +268,7 @@ def _zoo():
     ]
 
 
-def _equilibrium_reports(spec: QuadratureSpec | None = None) -> list[VerificationReport]:
+def _equilibrium_reports() -> list[VerificationReport]:
     reports = []
 
     # symmetric members: the single interior equilibrium sits at the median
@@ -332,21 +328,21 @@ def _equilibrium_reports(spec: QuadratureSpec | None = None) -> list[Verificatio
     return reports
 
 
-def run_suite(suite: str, spec: QuadratureSpec | None = None) -> list[VerificationReport]:
+def run_suite(suite: str, abs_tol: float = ABS_TOL) -> list[VerificationReport]:
     """Run one named verification suite (or `all`) and return its reports."""
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
     reports: list[VerificationReport] = []
     if suite in ("all", "appendix"):
-        reports.append(verify_appendix_constant(spec))
+        reports.append(verify_appendix_constant(abs_tol))
     if suite in ("all", "normalization"):
         for d in _zoo():
-            reports.append(verify_normalization(d, spec))
+            reports.append(verify_normalization(d, abs_tol))
     if suite in ("all", "mode"):
         for d in (Uniform(0.0, 1.0), Normal(0.0, 1.0), Semicircle(-1.0, 1.0)):
             reports.append(verify_mode_at_median(d))
     if suite in ("all", "ode"):
         reports.append(verify_ode_uniform())
     if suite in ("all", "equilibrium"):
-        reports.extend(_equilibrium_reports(spec))
+        reports.extend(_equilibrium_reports())
     return reports

@@ -161,6 +161,16 @@ class TestDerivativeAgainstFiniteDifference:
         with pytest.raises(DomainError):
             d.pdf_derivative(x)
 
+    def test_huge_rate_matches_mpmath(self):
+        # lam**2 overflowed (OverflowError) for lam above about 1.34e154; lam * x is 700.0 exactly
+        import mpmath
+
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        got = Exponential(1e160).pdf_derivative(700e-160)
+        want = -mp.mpf(1e160) ** 2 * mp.exp(-700)
+        assert abs(mp.mpf(got) / want - 1) < 1e-14
+
     @pytest.mark.parametrize("d", SIX, ids=_ids)
     def test_boundary_rejected(self, d):
         # the ends of the support, infinite ones included, NaN, and an array holding one of them

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -12,9 +13,9 @@ from derangetropy.errors import (
     NonConvergence,
     NonFiniteSample,
 )
-from derangetropy import numerics
+from derangetropy import Exponential, Normal, Semicircle, Uniform, derangetropy_profile, numerics
 from derangetropy.numerics import (
-    QuadratureSpec,
+    _adaptive_simpson,
     _pairwise_sum,
     _trapezoid,
     _unit_density,
@@ -23,7 +24,8 @@ from derangetropy.numerics import (
     integrate,
 )
 
-SIMPSON = QuadratureSpec(method="adaptive_simpson")
+# the quadrature rule under test and its oracle, called as rule(f, a, b, abs_tol)
+ROUTES, ROUTE_IDS = [integrate, _adaptive_simpson], ["gauss_legendre", "simpson"]
 
 # target of the sin(pi z) z^z (1-z)^(1-z) integral over [0,1]
 PI_E_OVER_24 = math.pi * math.e / 24.0
@@ -53,14 +55,13 @@ class TestIntegrate:
         assert integrate(f, 2.0, 2.0) == 0.0
         assert abs(integrate(f, 1.0, 0.0) + integrate(f, 0.0, 1.0)) < 1e-14
 
-    @pytest.mark.parametrize("spec", [None, SIMPSON])
-    def test_endpoint_power_integrand(self, spec):
-        val = integrate(bumpy, 0.0, 1.0, spec)
+    @pytest.mark.parametrize("rule", ROUTES, ids=ROUTE_IDS)
+    def test_endpoint_power_integrand(self, rule):
+        val = rule(bumpy, 0.0, 1.0, numerics.ABS_TOL)
         assert abs(val - PI_E_OVER_24) < 1e-8
 
     def test_default_method_hits_requested_tolerance(self):
-        spec = QuadratureSpec(abs_tol=1e-12)
-        val = integrate(bumpy, 0.0, 1.0, spec)
+        val = integrate(bumpy, 0.0, 1.0, 1e-12)
         assert abs(val - PI_E_OVER_24) < 1e-10
 
     def test_inverse_sqrt_singularity(self):
@@ -72,27 +73,22 @@ class TestIntegrate:
         # the simpson route samples (nudged) endpoints, so the cached huge
         # value near 0 keeps its leftmost panel from ever being accepted
         with pytest.raises(NonConvergence):
-            integrate(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, SIMPSON)
+            _adaptive_simpson(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, numerics.ABS_TOL)
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            QuadratureSpec(abs_tol=1e-14, max_subdivisions=4),
-            QuadratureSpec(method="adaptive_simpson", abs_tol=1e-14, max_subdivisions=4),
-        ],
-    )
-    def test_budget_exhaustion(self, spec):
-        with pytest.raises(NonConvergence):
-            integrate(lambda x: np.sin(200.0 / (np.asarray(x) + 0.01)), 0.0, 1.0, spec)
+    @pytest.mark.parametrize("rule", ROUTES, ids=ROUTE_IDS)
+    def test_budget_exhaustion(self, rule, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_SPLITS", 4)
+        with pytest.raises(NonConvergence, match="after 4 "):
+            rule(lambda x: np.sin(200.0 / (np.asarray(x) + 0.01)), 0.0, 1.0, 1e-14)
 
-    @pytest.mark.parametrize("spec", [None, SIMPSON])
-    def test_non_finite_sample(self, spec):
+    @pytest.mark.parametrize("rule", ROUTES, ids=ROUTE_IDS)
+    def test_non_finite_sample(self, rule):
         def f(x):
             arr = np.asarray(x, dtype=float)
             return np.where(arr > 0.5, np.nan, 1.0)
 
         with pytest.raises(NonFiniteSample):
-            integrate(f, 0.0, 1.0, spec)
+            rule(f, 0.0, 1.0, numerics.ABS_TOL)
 
     def test_nonfinite_endpoints_rejected(self):
         with pytest.raises(DomainError):
@@ -118,13 +114,14 @@ class TestIntegrate:
             sizes.append(np.size(x))
             return appendix_integrand(x)
 
-        val = integrate(counted, 0.0, 1.0, QuadratureSpec(abs_tol=1e-12))
+        val = integrate(counted, 0.0, 1.0, 1e-12)
         # the root panel takes 12 + 24 nodes, each later call both halves of a split
         assert sizes[0] == 36 and len(sizes) > 1
         assert all(n == 72 for n in sizes[1:])
         assert abs(val - quad(appendix_integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-14)[0]) < 1e-12
 
-    def test_calls_are_one_plus_splits(self):
+    def test_calls_are_one_plus_splits(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_SPLITS", 7)
         calls = []
 
         def counted(x):
@@ -132,7 +129,7 @@ class TestIntegrate:
             return np.sin(200.0 / (x + 0.01))
 
         with pytest.raises(NonConvergence, match="after 7 panel splits"):
-            integrate(counted, 0.0, 1.0, QuadratureSpec(abs_tol=1e-14, max_subdivisions=7))
+            integrate(counted, 0.0, 1.0, 1e-14)
         assert len(calls) == 1 + 7
 
     @given(
@@ -145,25 +142,47 @@ class TestIntegrate:
         assert abs(val - (2.0 * alpha + 2.0 * beta)) < 1e-9 * (1.0 + abs(alpha) + abs(beta))
 
 
-class TestQuadratureSpec:
-    def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.method == "gauss_legendre_composite"
-        assert spec.abs_tol == 1e-10
+class TestAbsTol:
+    def test_default(self):
+        assert numerics.ABS_TOL == 1e-10
+        assert inspect.signature(integrate).parameters["abs_tol"].default is numerics.ABS_TOL
 
+    # checked before the endpoints, so an empty interval does not hide a bad tolerance
+    @pytest.mark.parametrize("abs_tol", [0.0, -1e-3, math.nan, math.inf])
+    def test_validation(self, abs_tol):
+        with pytest.raises(DomainError, match="abs_tol"):
+            integrate(lambda x: x, 0.0, 0.0, abs_tol)
+
+
+class TestSimpsonOracle:
+    """integrate against _adaptive_simpson, a rule that shares no nodes, weights or
+    error estimate with it, on the integrands of the appendix and normalization checks."""
+
+    # each rule's own error estimate is held to 1e-10, so two correct answers lie
+    # within 2e-10 of each other; the gaps seen are at most 2.6e-11 (Normal)
+    GAP = 2e-10
+
+    def test_appendix_integrand(self):
+        from derangetropy.verify import appendix_integrand
+
+        value = integrate(appendix_integrand, 0.0, 1.0, 1e-10)
+        assert abs(value - _adaptive_simpson(appendix_integrand, 0.0, 1.0, 1e-10)) < self.GAP
+
+    # Arcsin is left out: its rho has an inverse square root at both ends, and
+    # Simpson samples (nudged) endpoints, so it cannot split its edge panel
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"method": "trapezoid"},
-            {"abs_tol": 0.0},
-            {"abs_tol": -1e-3},
-            {"abs_tol": math.nan},
-            {"max_subdivisions": 0},
-        ],
+        "d",
+        [Uniform(0.0, 1.0), Normal(0.0, 1.0), Exponential(1.0), Semicircle(-1.0, 1.0)],
+        ids=lambda d: type(d).__name__,
     )
-    def test_validation(self, kwargs):
-        with pytest.raises(DomainError):
-            QuadratureSpec(**kwargs)
+    def test_normalization_integrands(self, d):
+        lo, hi = d.truncated_support(1e-9)
+
+        def rho(xs):
+            return derangetropy_profile(d, xs)[2]
+
+        value = integrate(rho, lo, hi, 1e-10)
+        assert abs(value - _adaptive_simpson(rho, lo, hi, 1e-10)) < self.GAP
 
 
 def _kernel_samples(xs):
@@ -249,6 +268,11 @@ class TestUnitDensity:
         ys = np.asarray(ys)
         # the rule rejects a mass that is 0, as [0, 5e-324] has after rounding
         assume(np.trapezoid(ys, xs) > 0.0)
+        # and a mass below one smallest normal number per node, as [5e-324, 5e-324] has
+        if np.trapezoid(ys, xs) < len(ys) * np.finfo(float).tiny:
+            with pytest.raises(InvalidGrid, match="too small to scale to unit mass"):
+                _unit_density(ys.copy(), xs)
+            return
         _, cdf, mass = _unit_density(ys.copy(), xs)
         assert np.all(np.diff(cdf) >= 0.0)
         assert abs(mass - float(np.trapezoid(ys, xs))) < 1e-9 * (1.0 + mass)

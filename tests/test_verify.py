@@ -13,7 +13,6 @@ from derangetropy.distributions import (
 )
 from derangetropy.errors import DomainError, SymmetryProbeFailed
 from derangetropy.functional import derangetropy_derivative
-from derangetropy.numerics import QuadratureSpec
 from derangetropy.verify import (
     APPENDIX_CONSTANT,
     UNIFORM_EQUILIBRIUM_CURVATURE,
@@ -60,7 +59,7 @@ class TestAppendixConstant:
         assert rep.residual < 1e-8
 
     def test_tighter_quadrature(self):
-        rep = verify_appendix_constant(spec=QuadratureSpec(abs_tol=1e-12))
+        rep = verify_appendix_constant(abs_tol=1e-12)
         assert rep.passed
         assert rep.residual < 1e-10
 
@@ -161,6 +160,20 @@ class TestEquilibria:
         assert center.x == pytest.approx(0.5, abs=1e-8)
         assert center.classification == "maximum"
 
+    # the scan's neighbouring slopes are about 1/b each, so their product underflows
+    # to 0 once b passes about 1e154; the bracket test compares signs instead
+    @pytest.mark.parametrize("b", [1e150, 1e160, 1e200, 1e300])
+    def test_wide_uniform_median(self, b):
+        eqs = find_equilibria(Uniform(0.0, b))
+        assert len(eqs) == 1
+        assert eqs[0].x == pytest.approx(b / 2.0, rel=1e-12)
+
+    def test_wide_normal_center(self):
+        # sigma**2 overflowed for sigma above about 1.34e154
+        eqs = find_equilibria(Normal(0.0, 1e160))
+        assert len(eqs) == 1
+        assert abs(eqs[0].x) <= 1e-12 * 1e160
+
     def test_bracket_count_validated(self):
         with pytest.raises(DomainError):
             find_equilibria(Uniform(0.0, 1.0), n_brackets=1)
@@ -207,5 +220,6 @@ class TestRunSuite:
             run_suite("everything")
 
     def test_spec_threaded_through(self):
-        reports = run_suite("appendix", spec=QuadratureSpec(abs_tol=1e-12))
+        reports = run_suite("appendix", abs_tol=1e-12)
         assert reports[0].residual < 1e-10
+        assert reports[0].details["abs_tol"] == 1e-12

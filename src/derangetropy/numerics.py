@@ -173,8 +173,7 @@ def _adaptive_simpson(f: Callable, a: float, b: float, abs_tol: float) -> float:
     return math.fsum(pieces)
 
 
-# nodes per block of a streamed pass over a grid: a few float64 blocks of
-# scratch stay in L2; at least 128, the length numpy sums without splitting
+# nodes per block of a streamed pass over a grid: a few float64 blocks of scratch stay in L2
 _BLOCK = 1 << 14
 
 # the smallest normal float64; below it a product rounds to a fixed step, not relatively
@@ -195,46 +194,28 @@ def _find(a: np.ndarray, test: Callable) -> int:
     return -1
 
 
-def _pairwise_sum(terms: Callable, n: int, lo: int, hi: int, out: np.ndarray, start: int = 0) -> float:
-    """np.sum(t[start : start + n]) bit for bit, for terms t that are +0.0 outside [lo, hi).
-
-    terms(s, e, out) writes t[s:e] into out, e - s <= _BLOCK, and out is scratch
-    of min(n, _BLOCK) floats. numpy sums more than 128 float64 pairwise, as the
-    sum of the first h and the last n - h, h = n//2 - (n//2) % 8; so np.sum over
-    one node of that tree gives the node, and a node outside [lo, hi) adds +0.0.
-    This walk is a module-level function because a nested one that calls itself
-    is a reference cycle, which would keep each level's arrays alive until the
-    cyclic collector ran.
-    """
-    if start >= hi or start + n <= lo:
-        return 0.0
-    if n > _BLOCK:
-        h = n // 2 - n // 2 % 8
-        return _pairwise_sum(terms, h, lo, hi, out, start) + _pairwise_sum(terms, n - h, lo, hi, out, start + h)
-    out = out[:n]
-    s, e = max(start, lo), min(start + n, hi)
-    out[: s - start] = 0.0
-    out[e - start :] = 0.0
-    terms(s, e, out[s - start : e - start])
-    return float(out.sum())
-
-
 def _trapezoid(ys: np.ndarray | Callable, xs: np.ndarray, lo: int = 0, hi: int | None = None) -> float:
-    """np.trapezoid(ys, xs) bit for bit: the package's one trapezoid rule.
+    """The package's one trapezoid rule over the grid xs, summing only the terms [lo, hi).
 
     ys is the integrand as an array, or as a function ys(s, e) that returns it
-    on nodes [s, e). Only the terms [lo, hi) are formed, a block at a time with
-    that block's spacings in scratch; the others must be +0.0.
+    on nodes [s, e). The terms are formed a block at a time, spacings included,
+    each block is summed by np.sum and the block sums are added exactly by
+    math.fsum, so the rounding error is that of one block's sum plus one final
+    rounding, however long the grid (Higham, SIAM J. Sci. Comput. 14, 1993).
     """
     n = xs.size - 1
-    spacings = np.empty(min(n, _BLOCK))
-
-    def terms(s, e, out):
+    terms, spacings = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+    sums = []
+    for s, e in _blocks(lo, n if hi is None else hi):
         y = ys(s, e + 1) if callable(ys) else ys[s : e + 1]
-        np.add(y[1:], y[:-1], out=out)
-        out *= np.subtract(xs[s + 1 : e + 1], xs[s:e], out=spacings[: e - s])
-
-    return _pairwise_sum(terms, n, lo, n if hi is None else hi, np.empty(min(n, _BLOCK))) / 2.0
+        t = np.add(y[1:], y[:-1], out=terms[: e - s])
+        t *= np.subtract(xs[s + 1 : e + 1], xs[s:e], out=spacings[: e - s])
+        sums.append(float(t.sum()))
+    try:
+        return math.fsum(sums) / 2.0
+    except (OverflowError, ValueError):
+        # fsum refuses inf - inf and partial sums past the float range, where the plain sum is nan or inf
+        return sum(sums) / 2.0
 
 
 def _unit_density(
@@ -249,9 +230,8 @@ def _unit_density(
     the scaled density's running integral is finite. So density is finite with
     unit trapezoid mass to rounding: below that floor, terms rounded as
     subnormals could leave it off by more. If ys is +0.0 outside nodes [lo, hi),
-    only those are scaled and summed. Every pass goes a block at a time, spacings
-    included, so the cdf is its one new array the size of ys, with the whole-grid
-    pass's bits.
+    only those are scaled and summed. Every pass goes a block at a time, so the
+    cdf is the one new array the size of ys.
     """
     n = ys.size
     # the steps [a, b) are those that touch nodes [lo, hi): the others are +0.0

@@ -5,14 +5,12 @@ repeatedly multiplies by the kernel evaluated at the current cdf, then
 renormalizes. Mass drifts only through trapezoid error, and the
 pre-renormalization mass of every step is kept as a health metric. A level
 handed to apply_derangetropy is fully validated, except the levels that
-iterate's own steps build from a seed with no sign bit, which are valid by
-construction (see iterate). Each step is evaluated only on the cdf interior,
-where 0 < F < 1, and one node past it, with the bits of an evaluation on the
-whole grid. Each pass (the checks, the kernel, the mass, the running sum, the
-moments) streams the grid in cache-sized blocks, spacings included, so the
-only grid-sized arrays a step makes are the new density and cdf; its sums
-follow numpy's pairwise tree, so they round as one np.sum over the whole grid
-would.
+iterate's own steps build, which are valid by construction (see iterate).
+Each step is evaluated only on the cdf interior, where 0 < F < 1, and one
+node past it; elsewhere the kernel is zero. Each pass (the checks, the
+kernel, the mass, the running sum, the moments) streams the grid in
+cache-sized blocks, so the only grid-sized arrays a step makes are the new
+density and cdf.
 """
 
 from __future__ import annotations
@@ -121,11 +119,11 @@ def discretize(d: Distribution, n_points: int, tail_eps: float) -> GridFunction:
 def apply_derangetropy(g: GridFunction, *, _trusted: bool = False) -> GridFunction:
     """One application of the operator: reweight by the kernel on the cdf interior, renormalize.
 
-    g is validated in full, unless iterate passes _trusted for a level that its
-    own step built from a seed with no sign bit (see iterate). Such a level is
-    valid, its cdf is nondecreasing from exactly 0 to exactly 1, and no entry of
-    it has its sign bit set, so its interior is found by binary search and
-    nothing needs a sign-bit scan.
+    g is validated in full, and the new density is clamped to at least +0.0, so
+    the level returned has no sign bit whatever g held. iterate passes _trusted
+    for the levels its own steps built (see iterate): their cdf is
+    nondecreasing from exactly 0 to exactly 1 and their density has no sign
+    bit, so the interior is found by binary search and nothing needs a clamp.
     """
     F, n = g.cdf, g.cdf.size
     if _trusted:
@@ -133,16 +131,16 @@ def apply_derangetropy(g: GridFunction, *, _trusted: bool = False) -> GridFuncti
         hi = min(int(np.searchsorted(F, 1.0)) + 1, n)
     else:
         g.validate()
-        # the cdf interior and one node past it on each side; outside [lo, hi) the kernel is a signed
-        # zero, and so is its product with the density: +0.0, as written there, unless a sign bit meets it
+        # the cdf interior and one node past it on each side; outside [lo, hi) the kernel is zero
         lo = max(_find(F, lambda block: block > 0.0) - 1, 0)
         hi = max(min(n + 1 - _find(F[::-1], lambda block: block < 1.0), n), lo)
-        if any(_find(part, np.signbit) >= 0 for part in (F[:lo], g.density[:lo], g.density[hi:])):
-            lo, hi = 0, n
     density, clipped = np.zeros(n), np.empty(min(n, _BLOCK))
     for s, e in _blocks(lo, hi):
         derangetropy_kernel(np.clip(F[s:e], 0.0, 1.0, out=clipped[: e - s]), out=density[s:e])
         density[s:e] *= g.density[s:e]
+        if not _trusted:
+            # -0.0 and the negative entries that validate tolerates become +0.0
+            np.maximum(density[s:e], 0.0, out=density[s:e])
     density, cdf, prenorm = _unit_density(density, g.xs, lo, hi)
     return GridFunction(xs=g.xs, density=density, cdf=cdf, level=g.level + 1, prenorm_mass=prenorm)
 
@@ -150,24 +148,20 @@ def apply_derangetropy(g: GridFunction, *, _trusted: bool = False) -> GridFuncti
 def iterate(g0: GridFunction, n: int) -> list[GridFunction]:
     """Levels 0..n of the recursion, starting from g0.
 
-    g0 is validated by the first step. Each later level is built by the step
-    before it and reaches the next one untouched, since no other code runs in
-    between, and it meets every check of validate by construction: its density
+    g0 is validated by the first step, whose density is clamped to at least
+    +0.0. Each later level is built by the step before it, with no other code
+    in between, and meets every check of validate by construction: its density
     is the kernel (at least +0.0) times a density with no sign bit, divided by
     a mass that _unit_density accepts only if the quotient is finite with unit
     mass to rounding, and its cdf is a running sum of nonnegative steps divided
-    by its total, so it is nondecreasing from exactly 0 to exactly 1. So when
-    no entry of g0.density or g0.cdf has its sign bit set, no level has one,
-    and every later step is trusted: it skips validate and the sign-bit scans.
-    A signed zero in g0 can carry into later levels, so then every step checks
-    and scans in full. The levels are the same bits either way.
+    by its total, so it is nondecreasing from exactly 0 to exactly 1. So every
+    later step is trusted: it skips validate and the clamp.
     """
     if n < 1:
         raise DomainError(f"n must be at least 1, got {n!r}")
     levels = [g0, apply_derangetropy(g0)]
-    trusted = all(_find(a, np.signbit) < 0 for a in (g0.density, g0.cdf))
     for _ in range(n - 1):
-        levels.append(apply_derangetropy(levels[-1], _trusted=trusted))
+        levels.append(apply_derangetropy(levels[-1], _trusted=True))
     return levels
 
 
@@ -184,7 +178,7 @@ def convergence_metrics(g: GridFunction, delta: float, center: float | None = No
         raise DomainError(f"center must be finite, got {center!r}")
     med = g.median()
     center = med if center is None else center
-    # moment terms on the density's support only; the others add +0.0 to the pairwise sum
+    # moment terms on the density's support only; the others are +0.0
     xs, density, n = g.xs, g.density, g.xs.size
     a = max(_find(density, lambda block: block != 0.0) - 1, 0)
     b = max(min(n - _find(density[::-1], lambda block: block != 0.0), n - 1), a)

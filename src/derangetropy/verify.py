@@ -40,7 +40,7 @@ UNIFORM_EQUILIBRIUM_CURVATURE = math.pi ** 2 - 4.0
 # names run_suite accepts
 SUITES = ("all", "normalization", "appendix", "mode", "ode", "equilibrium")
 
-# classifications with |second derivative| below this are reported as degenerate
+# classifications with |second derivative| * width**2 below this are reported as degenerate
 _CURVATURE_DEADBAND = 1e-6
 
 # find_equilibria scans [quantile(eps), quantile(1 - eps)] with this eps
@@ -182,7 +182,10 @@ def verify_ode_uniform(grid_f=None, fd_step: float = 1e-5) -> VerificationReport
     if grid_f is None:
         grid_f = np.linspace(0.01, 0.99, 199)
     grid_f = np.asarray(grid_f, dtype=float)
-    if np.any(grid_f < 0.01) or np.any(grid_f > 0.99):
+    if grid_f.size == 0:
+        raise DomainError("ODE grid is empty")
+    # a NaN fails both comparisons
+    if not np.all((grid_f >= 0.01) & (grid_f <= 0.99)):
         raise DomainError("ODE grid must stay inside [0.01, 0.99]")
     if not (0.0 < fd_step < 1e-2):
         raise DomainError(f"fd_step must be a small positive number, got {fd_step!r}")
@@ -224,7 +227,8 @@ def find_equilibria(d: Distribution, n_brackets: int = 64) -> list[Equilibrium]:
     -rho'/rho; the scan covers [quantile(_SCAN_EPS), quantile(1-_SCAN_EPS)]
     with n_brackets intervals, each sign change refined by find_root to
     1e-12 of the scan width (at least 1) and classified by a finite-difference
-    second derivative of E_total with step 1e-4 of the width.
+    second derivative of E_total with step 1e-4 of the width. The class reads
+    that curvature times width**2, so it does not depend on the unit of x.
     """
     if n_brackets < 2:
         raise DomainError(f"n_brackets must be at least 2, got {n_brackets!r}")
@@ -248,9 +252,11 @@ def find_equilibria(d: Distribution, n_brackets: int = 64) -> list[Equilibrium]:
     out = []
     for r in merged:
         second = central_difference(energy_prime, r, fd_step, order=1)
-        if second > _CURVATURE_DEADBAND:
+        # in this order, so that width**2 cannot overflow before the product is taken
+        shape = second * width * width
+        if shape > _CURVATURE_DEADBAND:
             kind = "minimum"
-        elif second < -_CURVATURE_DEADBAND:
+        elif shape < -_CURVATURE_DEADBAND:
             kind = "maximum"
         else:
             kind = "degenerate"

@@ -16,7 +16,6 @@ from derangetropy.errors import (
 from derangetropy import Exponential, Normal, Semicircle, Uniform, derangetropy_profile, numerics
 from derangetropy.numerics import (
     _adaptive_simpson,
-    _pairwise_sum,
     _trapezoid,
     _unit_density,
     central_difference,
@@ -29,6 +28,15 @@ ROUTES, ROUTE_IDS = [integrate, _adaptive_simpson], ["gauss_legendre", "simpson"
 
 # target of the sin(pi z) z^z (1-z)^(1-z) integral over [0,1]
 PI_E_OVER_24 = math.pi * math.e / 24.0
+
+
+# float64 unit roundoff
+U = 2.0**-53
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u): the relative error bound of k roundings in a row."""
+    return k * U / (1.0 - k * U)
 
 
 def bumpy(z):
@@ -246,20 +254,33 @@ class TestUnitDensity:
         np.testing.assert_allclose(cdf, oracle / oracle[-1], rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("lo, hi", [(0, 9), (3, 7), (4, 5), (0, 3), (6, 9)])
-    def test_support_range_changes_no_bits(self, lo, hi):
+    def test_support_range_matches_whole_grid(self, lo, hi):
         rng = np.random.default_rng(lo * 10 + hi)
         xs = np.cumsum(rng.uniform(0.1, 1.0, 9))
         ys = np.zeros(9)
         ys[lo:hi] = rng.uniform(0.5, 2.0, hi - lo)
         whole = _unit_density(ys.copy(), xs)
         part = _unit_density(ys.copy(), xs, lo, hi)
-        for w, p in zip(whole, part):
-            assert np.asarray(w).tobytes() == np.asarray(p).tobytes()
+        # the two add the same 8 nonnegative terms in different orders, each mass within gamma_7
+        # of the exact one, so within gamma_15 of each other; each density is the same values
+        # over its mass (one rounding each, gamma_18); each cdf is a running sum (gamma_7) of
+        # steps taking two roundings from the density (gamma_22), over its last sum (gamma_74)
+        assert abs(part[2] - whole[2]) <= _gamma(15) * whole[2]
+        assert np.all(np.abs(part[0] - whole[0]) <= _gamma(18) * whole[0])
+        assert np.all(np.abs(part[1] - whole[1]) <= _gamma(74) * whole[1])
+        assert part[1][-1] == 1.0
 
     @pytest.mark.parametrize("ys", [[0.0, 0.0, 0.0], [1.0, math.inf, 1.0], [1.0, math.nan, 1.0]])
     def test_mass_must_be_positive_and_finite(self, ys):
         with pytest.raises(InvalidGrid):
             _unit_density(np.array(ys), np.array([0.0, 0.5, 1.0]))
+
+    def test_mass_past_the_float_range(self):
+        # every block sum is finite, about 3.3e307, but eight of them overflow: math.fsum raises
+        # OverflowError there, and the rule must still report the mass as InvalidGrid
+        n = 8 * numerics._BLOCK + 1
+        with pytest.raises(InvalidGrid, match="^sampled density has mass inf$"):
+            _unit_density(np.full(n, 1e303), np.arange(n, dtype=float))
 
     @given(st.lists(st.floats(0.0, 100.0, allow_nan=False), min_size=2, max_size=40))
     @settings(max_examples=60, deadline=None)
@@ -278,47 +299,55 @@ class TestUnitDensity:
         assert abs(mass - float(np.trapezoid(ys, xs))) < 1e-9 * (1.0 + mass)
 
 
-class TestPairwiseSum:
-    """The block-wise tree walk against np.sum: a numpy that regrouped its sums would fail here."""
+def _np_sum_roundings(m):
+    """The most roundings that one of m float64 terms meets in np.sum.
 
-    @staticmethod
-    def _walk(t, lo, hi):
-        def terms(s, e, out):
-            out[:] = t[s:e]
-
-        return _pairwise_sum(terms, t.size, lo, hi, np.full(min(t.size, numerics._BLOCK), np.nan))
-
-    @pytest.mark.parametrize("block", [128, None], ids=["block-128", "block-default"])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_np_sum_bitwise(self, seed, block, monkeypatch):
-        if block:
-            monkeypatch.setattr(numerics, "_BLOCK", block)
-        rng = np.random.default_rng(seed)
-        sizes = [1, 7, 8, 9, 127, 128, 129, 136, 1000, 3 * numerics._BLOCK + 5]
-        sizes += rng.integers(2, 40 * numerics._BLOCK, 2).tolist()
-        for n in sizes:
-            t = rng.standard_normal(n) * np.exp(8.0 * rng.standard_normal(n))
-            assert repr(self._walk(t, 0, n)) == repr(float(np.sum(t))), n
-            # zero-padded: only [lo, hi) is formed, the rest is +0.0
-            lo, hi = sorted(rng.integers(0, n + 1, 2).tolist())
-            t[:lo] = 0.0
-            t[hi:] = 0.0
-            assert repr(self._walk(t, lo, hi)) == repr(float(np.sum(t))), (n, lo, hi)
+    np.sum is numpy's partial pairwise summation: it halves the array, at most
+    ceil(log2 m) times on the way to any term, until a piece holds at most 128 terms,
+    and adds a piece in eight running sums of at most 16 terms, three additions to
+    join them and at most seven for a tail; one more adds it all to the first term.
+    """
+    return math.ceil(math.log2(max(m, 1))) + 26
 
 
 class TestTrapezoid:
-    """The one trapezoid rule against np.trapezoid, bit for bit, with the integrand
-    given as an array and as a block function."""
+    """The one trapezoid rule against math.fsum over all of its terms, with the
+    integrand given as an array and as a block function, and against np.trapezoid
+    on a grid of one block."""
 
     @pytest.mark.parametrize("block", [128, None], ids=["block-128", "block-default"])
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_np_trapezoid_bitwise(self, seed, block, monkeypatch):
+        # one block is one np.sum of the terms that np.trapezoid sums halved, and halving
+        # is exact, so the two agree to the bit whatever order np.sum adds in: a tabulated
+        # density of at most _BLOCK + 1 nodes keeps the normalization np.trapezoid gave it
         if block:
             monkeypatch.setattr(numerics, "_BLOCK", block)
         b = numerics._BLOCK
         rng = np.random.default_rng(seed)
-        # from one term to 40 blocks of terms, whole and partial
+        for n in [2, 3, b, b + 1] + rng.integers(2, b + 2, 2).tolist():
+            xs = np.cumsum(rng.uniform(1e-3, 1.0, n))
+            ys = rng.standard_normal(n) * np.exp(4.0 * rng.standard_normal(n))
+            want = repr(float(np.trapezoid(ys, xs)))
+            assert repr(_trapezoid(ys, xs)) == want, n
+            assert repr(_trapezoid(lambda s, e: ys[s:e].copy(), xs)) == want, n
+
+    @pytest.mark.parametrize("block", [128, None], ids=["block-128", "block-default"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_within_bound_of_fsum(self, seed, block, monkeypatch):
+        if block:
+            monkeypatch.setattr(numerics, "_BLOCK", block)
+        b = numerics._BLOCK
+        rng = np.random.default_rng(seed)
+        # from one term to 40 blocks of terms, whole and partial, and a million-node grid
         sizes = [2, 3, b + 1, b + 2, 3 * b + 6] + rng.integers(2, 40 * b + 2, 2).tolist()
+        sizes += [1_000_001] if seed == 0 else []
+        # each block sum is within gamma_k of its terms' absolute sum, k the roundings np.sum makes
+        # in one block; fsum adds the block sums with one rounding, and the oracle's own fsum takes
+        # one more: gamma_(k+2) of the absolute sum, a bound that does not grow with the grid.
+        # np.sum over the whole grid would give each term log2(n / b) more roundings: 6 more at the
+        # default block and 13 more at 128 nodes a block on the million-node grid.
+        k = _np_sum_roundings(b) + 2
         for n in sizes:
             xs = np.cumsum(rng.uniform(1e-3, 1.0, n))
             ys = rng.standard_normal(n) * np.exp(4.0 * rng.standard_normal(n))
@@ -336,12 +365,33 @@ class TestTrapezoid:
                 ys[:lo] = 0.0
                 ys[hi:] = 0.0
                 a, z = max(lo - 1, 0), min(hi, n - 1)
-                want = repr(float(np.trapezoid(ys, xs)))
+                # the rule's terms, with its operations: (y[i] + y[i + 1]) * (x[i + 1] - x[i])
+                terms = (ys[1:] + ys[:-1]) * np.diff(xs)
+                exact = math.fsum(terms) / 2.0
+                bound = _gamma(k) * math.fsum(np.abs(terms)) / 2.0
                 asked.clear()
-                assert repr(_trapezoid(ys, xs)) == want, n
-                assert repr(_trapezoid(ys, xs, a, z)) == want, (n, lo, hi)
-                assert repr(_trapezoid(block_ys, xs, a, z)) == want, (n, lo, hi)
+                for value in (_trapezoid(ys, xs), _trapezoid(ys, xs, a, z), _trapezoid(block_ys, xs, a, z)):
+                    assert abs(value - exact) <= bound, (n, lo, hi)
                 assert all(a <= s < e <= z + 1 and e - s <= b + 1 for s, e in asked), (n, lo, hi)
+
+    @pytest.mark.parametrize("block", [128, None], ids=["block-128", "block-default"])
+    def test_block_sums_added_exactly(self, block, monkeypatch):
+        # integer terms of block-wise scales 2**e: every partial sum within a block is an integer
+        # times its scale below 2**53 of it, so np.sum is exact in any order, and then the rule
+        # is fsum over all of its terms to the last bit, where a plain sum of the block sums
+        # loses the small blocks next to the large ones
+        if block:
+            monkeypatch.setattr(numerics, "_BLOCK", block)
+        b = numerics._BLOCK
+        rng = np.random.default_rng(17)
+        n = 1_000_001
+        ys = rng.integers(-(2**20), 2**20, n).astype(float)
+        # node s of each block start is 0, so each of a block's terms y[i] + y[i + 1] has that block's scale
+        ys[::b] = 0.0
+        scales = np.exp2(rng.integers(-200, 200, -(-n // b)).astype(float))
+        ys *= np.repeat(scales, b)[:n]
+        xs = np.arange(n, dtype=float)
+        assert _trapezoid(ys, xs) == math.fsum(ys[1:] + ys[:-1]) / 2.0
 
 
 class TestFindRoot:

@@ -125,6 +125,14 @@ class TestOdeUniform:
         with pytest.raises(DomainError):
             verify_ode_uniform(fd_step=0.0)
 
+    def test_rejects_empty_grid(self):
+        with pytest.raises(DomainError, match="^ODE grid is empty$"):
+            verify_ode_uniform(grid_f=[])
+
+    def test_rejects_nan_in_grid(self):
+        with pytest.raises(DomainError, match=r"^ODE grid must stay inside \[0\.01, 0\.99\]$"):
+            verify_ode_uniform(grid_f=[0.2, math.nan, 0.8])
+
 
 class TestEquilibria:
     def test_flat_density_single_interior_minimum(self):
@@ -173,6 +181,25 @@ class TestEquilibria:
         eqs = find_equilibria(Normal(0.0, 1e160))
         assert len(eqs) == 1
         assert abs(eqs[0].x) <= 1e-12 * 1e160
+
+    # E_total'' scales as 1/s**2 and the scan width as s, so their product, and the class, do not
+    # depend on the unit of x; an absolute deadband classed every family degenerate from s = 1e4 up
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda s: Uniform(0.0, s),
+            lambda s: Normal(0.0, s),
+            lambda s: Exponential(1.0 / s),
+            lambda s: Semicircle(-s, s),
+            lambda s: Arcsin(0.0, s),
+        ],
+        ids=["Uniform", "Normal", "Exponential", "Semicircle", "Arcsin"],
+    )
+    def test_classes_do_not_depend_on_scale(self, family):
+        want = [eq.classification for eq in find_equilibria(family(1.0))]
+        assert "degenerate" not in want
+        for s in (1e-12, 1e-6, 1e-3, 1e3, 1e4, 1e6, 1e12):
+            assert [eq.classification for eq in find_equilibria(family(s))] == want, s
 
     def test_bracket_count_validated(self):
         with pytest.raises(DomainError):

@@ -38,14 +38,11 @@ class DerangetropyValue:
 class EnergyBreakdown:
     """Pointwise split of -log rho into an oscillatory and a structural part.
 
-    The exact algebraic relation is
+    The exact algebraic relation, whose defect identity_residual returns, is
 
         e_total = e_oscillatory + e_structural - constant_c
 
-    i.e. the stored sign convention is s = -1 applied to
-    constant_c = log(24/(pi*e)) > 0. Readers preferring the opposite
-    convention can negate constant_c; identity_residual takes the sign as an
-    argument so both are checkable.
+    with constant_c = log(24/(pi*e)) > 0.
     """
 
     e_oscillatory: float
@@ -53,8 +50,8 @@ class EnergyBreakdown:
     e_total: float
     constant_c: float
 
-    def identity_residual(self, sign: float = -1.0) -> float:
-        return self.e_total - (self.e_oscillatory + self.e_structural + sign * self.constant_c)
+    def identity_residual(self) -> float:
+        return self.e_total - (self.e_oscillatory + self.e_structural - self.constant_c)
 
 
 def _neg_entropy(F: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -43,8 +43,13 @@ SUITES = ("all", "normalization", "appendix", "mode", "ode", "equilibrium")
 # classifications with |second derivative| * width**2 below this are reported as degenerate
 _CURVATURE_DEADBAND = 1e-6
 
-# find_equilibria scans [quantile(eps), quantile(1 - eps)] with this eps
+# find_equilibria scans [quantile(eps), quantile(1 - eps)] with this eps, in this many brackets
 _SCAN_EPS = 1e-4
+_N_BRACKETS = 64
+
+# verify_ode_uniform's points of F and the step of its central difference
+_ODE_GRID_F = np.linspace(0.01, 0.99, 199)
+_ODE_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -166,35 +171,26 @@ def verify_mode_at_median(d: Distribution, n_points: int = 10_000) -> Verificati
     )
 
 
-def verify_ode_uniform(grid_f=None, fd_step: float = 1e-5) -> VerificationReport:
+def verify_ode_uniform() -> VerificationReport:
     """Residual of the second-order ODE satisfied by rho in the uniform case.
 
     With L(F) = atanh(1-2F), the claim is
 
         rho'' + 4 L(F) rho' + (pi^2 - 1/(F(1-F)) + 4 L(F)^2) rho = 0
 
-    rho' is analytic, rho'' comes from central differences of rho', and the
+    on _ODE_GRID_F, 199 points of F in [0.01, 0.99]. rho' is analytic, rho''
+    comes from central differences of rho' with step _ODE_FD_STEP, and the
     max-abs residual is normalized by max|rho|. The initial slope
     d(rho)/dF at F=0 is checked against 24/e through a forward difference;
     the reported residual is the worse of the two defects so `passed`
     covers both.
     """
-    if grid_f is None:
-        grid_f = np.linspace(0.01, 0.99, 199)
-    grid_f = np.asarray(grid_f, dtype=float)
-    if grid_f.size == 0:
-        raise DomainError("ODE grid is empty")
-    # a NaN fails both comparisons
-    if not np.all((grid_f >= 0.01) & (grid_f <= 0.99)):
-        raise DomainError("ODE grid must stay inside [0.01, 0.99]")
-    if not (0.0 < fd_step < 1e-2):
-        raise DomainError(f"fd_step must be a small positive number, got {fd_step!r}")
-
+    grid_f = _ODE_GRID_F
     # on uniform(0,1), f = 1 and F = x: rho as a function of F is the kernel itself
     flat = Uniform(0.0, 1.0)
     rho = derangetropy_kernel(grid_f)
     rho_prime = derangetropy_derivative(flat, grid_f)
-    rho_second = central_difference(lambda F: derangetropy_derivative(flat, F), grid_f, fd_step, order=1)
+    rho_second = central_difference(lambda F: derangetropy_derivative(flat, F), grid_f, _ODE_FD_STEP)
     L = np.arctanh(1.0 - 2.0 * grid_f)
     coeff = math.pi ** 2 - 1.0 / (grid_f * (1.0 - grid_f)) + 4.0 * L ** 2
     residual_field = rho_second + 4.0 * L * rho_prime + coeff * rho
@@ -216,29 +212,28 @@ def verify_ode_uniform(grid_f=None, fd_step: float = 1e-5) -> VerificationReport
         initial_slope_defect=slope_defect,
         pointwise_residual_near_center=float(abs(residual_field[center_idx])),
         n_points=int(grid_f.size),
-        fd_step=fd_step,
+        fd_step=_ODE_FD_STEP,
     )
 
 
-def find_equilibria(d: Distribution, n_brackets: int = 64) -> list[Equilibrium]:
+def find_equilibria(d: Distribution) -> list[Equilibrium]:
     """Interior zeros of dE_total/dx, classified by local curvature.
 
     The derivative of the total energy is evaluated analytically as
     -rho'/rho; the scan covers [quantile(_SCAN_EPS), quantile(1-_SCAN_EPS)]
-    with n_brackets intervals, each sign change refined by find_root to
-    1e-12 of the scan width (at least 1) and classified by a finite-difference
-    second derivative of E_total with step 1e-4 of the width. The class reads
-    that curvature times width**2, so it does not depend on the unit of x.
+    with _N_BRACKETS intervals, each sign change refined by find_root to
+    1e-12 of the scan width and classified by a finite-difference second
+    derivative of E_total with step 1e-4 of the width. The class reads that
+    curvature times width**2, so neither it nor the root's place in the
+    window depends on the unit of x.
     """
-    if n_brackets < 2:
-        raise DomainError(f"n_brackets must be at least 2, got {n_brackets!r}")
     lo, hi = d.truncated_support(_SCAN_EPS)
     width = hi - lo
-    root_tol = 1e-12 * max(width, 1.0)
+    root_tol = 1e-12 * width
     fd_step = 1e-4 * width
 
     energy_prime = functools.partial(total_energy_derivative, d)
-    xs = np.linspace(lo, hi, n_brackets + 1)
+    xs = np.linspace(lo, hi, _N_BRACKETS + 1)
     vals = total_energy_derivative(d, xs)
     roots = xs[vals == 0.0].tolist()
     for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0):
@@ -251,7 +246,7 @@ def find_equilibria(d: Distribution, n_brackets: int = 64) -> list[Equilibrium]:
 
     out = []
     for r in merged:
-        second = central_difference(energy_prime, r, fd_step, order=1)
+        second = central_difference(energy_prime, r, fd_step)
         # in this order, so that width**2 cannot overflow before the product is taken
         shape = second * width * width
         if shape > _CURVATURE_DEADBAND:

@@ -387,6 +387,15 @@ class TestConfigAndErrors:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_tabulated_mass_overflow(self, capsys, tmp_path):
+        # one block's sum of 16,384 terms of 2e305 overflows; numpy's warning must not reach stderr
+        path = tmp_path / "t.csv"
+        path.write_text("x,f\n" + "".join(f"{i},1e305\n" for i in range(20_001)))
+        code, out, err = _run(capsys, ["eval", "--dist", f"tabulated:{path}"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: sampled density has mass inf\n"
+
     def test_recurse_with_non_finite_variance(self, capsys):
         # a 1.4e301-wide window: (x - mean)**2 overflows in the level-0 variance
         code, out, err = _run(capsys, ["recurse", "--dist", "exponential:1e-300", "--points", "101"])

@@ -307,11 +307,11 @@ class TestEnergyDecomposition:
             for p in (0.12, 0.37, 0.5, 0.81):
                 x = d.quantile(p)
                 e = energy_decomposition(d, x)
-                assert abs(e.identity_residual(-1.0)) < 1e-12
+                assert abs(e.identity_residual()) < 1e-12
 
     def test_wrong_sign_breaks_identity(self):
         e = energy_decomposition(Uniform(0.0, 1.0), 0.3)
-        assert abs(e.identity_residual(1.0)) > 1.0
+        assert abs(e.e_total - (e.e_oscillatory + e.e_structural + e.constant_c)) > 1.0
 
     def test_symmetry_for_flat_density(self):
         d = Uniform(0.0, 1.0)

@@ -22,6 +22,7 @@ from derangetropy.numerics import (
     find_root,
     integrate,
 )
+from derangetropy.verify import find_equilibria
 
 # the quadrature rule under test and its oracle, called as rule(f, a, b, abs_tol)
 ROUTES, ROUTE_IDS = [integrate, _adaptive_simpson], ["gauss_legendre", "simpson"]
@@ -424,6 +425,11 @@ class TestFindRoot:
         with pytest.raises(NonFiniteSample):
             find_root(lambda x: math.nan, 0.0, 1.0)
 
+    def test_result_is_a_python_float(self):
+        # both take a minimal step of tol1, so a numpy scalar in tol1 would make the result numpy.float64
+        assert type(Semicircle(-1.0, 1.0).quantile(1e-9)) is float
+        assert type(find_equilibria(Exponential(1e8))[0].x) is float
+
     def test_steep_root(self):
         root = find_root(lambda x: math.tanh(50.0 * (x - 0.3217)), 0.0, 1.0, tol=1e-14)
         assert abs(root - 0.3217) < 1e-12
@@ -431,35 +437,29 @@ class TestFindRoot:
 
 class TestCentralDifference:
     def test_first_order_square(self):
-        val = central_difference(lambda x: x * x, 1.0, 1e-6, order=1)
+        val = central_difference(lambda x: x * x, 1.0, 1e-6)
         assert abs(val - 2.0) < 1e-9
 
     def test_first_order_cubic(self):
-        val = central_difference(lambda x: x ** 3, 2.0, 1e-6, order=1)
+        val = central_difference(lambda x: x ** 3, 2.0, 1e-6)
         assert abs(val - 12.0) < 1e-7
 
-    def test_second_order_sine(self):
-        val = central_difference(math.sin, 0.7, 1e-4, order=2)
-        assert abs(val + math.sin(0.7)) < 1e-6
-
-    @pytest.mark.parametrize("h,order", [(0.0, 1), (-1e-5, 1), (1e-5, 3), (1e-5, 0)])
-    def test_validation(self, h, order):
+    @pytest.mark.parametrize("h", [0.0, -1e-5])
+    def test_validation(self, h):
         with pytest.raises(DomainError):
-            central_difference(lambda x: x, 0.0, h, order=order)
+            central_difference(lambda x: x, 0.0, h)
 
     def test_non_finite(self):
         with pytest.raises(NonFiniteSample):
-            central_difference(lambda x: math.inf, 0.0, 1e-5, order=1)
+            central_difference(lambda x: math.inf, 0.0, 1e-5)
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_array_matches_scalar_loop(self, order):
+    def test_array_matches_scalar_loop(self):
         xs = np.linspace(-2.0, 3.0, 41)
-        got = central_difference(np.sin, xs, 1e-4, order=order)
+        got = central_difference(np.sin, xs, 1e-4)
         assert got.shape == xs.shape
-        assert got.tolist() == [central_difference(np.sin, float(x), 1e-4, order=order) for x in xs]
+        assert got.tolist() == [central_difference(np.sin, float(x), 1e-4) for x in xs]
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_array_with_one_non_finite_sample(self, order):
+    def test_array_with_one_non_finite_sample(self):
         xs = np.linspace(0.0, 1.0, 11)
         with pytest.raises(NonFiniteSample, match="x=0.7"):
-            central_difference(lambda x: np.where(np.abs(x - 0.7) < 1e-3, np.inf, x), xs, 1e-4, order=order)
+            central_difference(lambda x: np.where(np.abs(x - 0.7) < 1e-3, np.inf, x), xs, 1e-4)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from derangetropy import verify
 from derangetropy.distributions import (
     Arcsin,
     Exponential,
@@ -12,7 +13,7 @@ from derangetropy.distributions import (
     Uniform,
 )
 from derangetropy.errors import DomainError, SymmetryProbeFailed
-from derangetropy.functional import derangetropy_derivative
+from derangetropy.functional import derangetropy_derivative, derangetropy_profile, energy_decomposition
 from derangetropy.verify import (
     APPENDIX_CONSTANT,
     UNIFORM_EQUILIBRIUM_CURVATURE,
@@ -108,30 +109,95 @@ class TestOdeUniform:
         assert rep.passed
         assert rep.residual < 1e-4
 
-    def test_residual_shrinks_with_step(self):
-        loose = verify_ode_uniform(fd_step=1e-4)
-        tight = verify_ode_uniform(fd_step=1e-5)
+    def test_residual_shrinks_with_step(self, monkeypatch):
+        monkeypatch.setattr(verify, "_ODE_FD_STEP", 1e-4)
+        loose = verify_ode_uniform()
+        monkeypatch.setattr(verify, "_ODE_FD_STEP", 1e-5)
+        tight = verify_ode_uniform()
         assert tight.residual < loose.residual
+        assert (loose.details["fd_step"], tight.details["fd_step"]) == (1e-4, 1e-5)
 
     def test_pointwise_residual_near_center(self):
         rep = verify_ode_uniform()
         assert abs(rep.details["pointwise_residual_near_center"]) < 1e-6
 
-    def test_rejects_grid_outside_unit_interval(self):
-        with pytest.raises(DomainError):
-            verify_ode_uniform(grid_f=np.linspace(-0.2, 0.8, 50))
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(DomainError):
-            verify_ode_uniform(fd_step=0.0)
+# X -> sX + b for each zoo family, as a function of (b, s); the exponential has no location
+AFFINE = {
+    "Uniform": lambda b, s: Uniform(b, b + s),
+    "Normal": lambda b, s: Normal(b, s),
+    "Exponential": lambda b, s: Exponential(1.0 / s),
+    "Semicircle": lambda b, s: Semicircle(b - s, b + s),
+    "Arcsin": lambda b, s: Arcsin(b, b + s),
+}
 
-    def test_rejects_empty_grid(self):
-        with pytest.raises(DomainError, match="^ODE grid is empty$"):
-            verify_ode_uniform(grid_f=[])
+# unit roundoff of float64
+U = 2.0**-53
 
-    def test_rejects_nan_in_grid(self):
-        with pytest.raises(DomainError, match=r"^ODE grid must stay inside \[0\.01, 0\.99\]$"):
-            verify_ode_uniform(grid_f=[0.2, math.nan, 0.8])
+
+def _affine_maps(name, scales=(1e-12, 1e-3, 1e3, 1e12)):
+    """(b, s) of each map the metamorphic tests apply: every scale, with shifts 0 and 0.37 s."""
+    shifts = (0.0,) if name == "Exponential" else (0.0, 0.37)
+    return [(shift * s, s) for s in scales for shift in shifts]
+
+
+def _dz(b, s, z):
+    """How far apart, in units of s, two runs read the point z of the unit family and b + s z.
+
+    The mapped point, the family's rounded ends or rate and its standardization take at most 8
+    roundings, each of a number below |b| + s (1 + |z|).
+    """
+    return 8.0 * U * (abs(b) / s + 1.0 + np.abs(z))
+
+
+class TestAffineEquivariance:
+    """rho_(sX+b)(s x + b) = rho_X(x)/s, so at mapped points the energies shift by log s or not at all,
+    and the normalization integral is the same.
+
+    Bound, per point z of the unit family: the two runs read z apart by dz (see _dz), and each
+    evaluation of F carries at most 8 u absolute error and of f at most 8 u relative error, so
+    dF = f dz + 16 u and df/f = |f'/f| dz + 16 u. rho = K(F) f then moves by
+    |K'/K| dF + df/f + 8 u relative, with K'/K = pi cot(pi F) + log(F/(1 - F)). This is the
+    conditioning of F and f themselves, not of rho: near Arcsin's ends both are steep while
+    rho is smooth, so rho' would understate how far the computed rho can move.
+    """
+
+    P = np.array([1e-6, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0 - 1e-6])
+
+    @pytest.mark.parametrize("name", AFFINE)
+    def test_profile_and_energies(self, name):
+        d1 = AFFINE[name](0.0, 1.0)
+        z = np.array([d1.quantile(p) for p in self.P])
+        f, F, rho = derangetropy_profile(d1, z)
+        e = energy_decomposition(d1, z)
+        cot = np.pi / np.tan(np.pi * F)
+        for b, s in _affine_maps(name):
+            dF = f * _dz(b, s, z) + 16.0 * U
+            df = np.abs(d1.pdf_derivative(z) / f) * _dz(b, s, z) + 16.0 * U
+            rel = np.abs(cot + np.log(F) - np.log1p(-F)) * dF + df + 8.0 * U
+            d = AFFINE[name](b, s)
+            _, _, got = derangetropy_profile(d, b + s * z)
+            assert np.all(np.abs(got * s - rho) <= rel * rho), (b, s)
+            moved = energy_decomposition(d, b + s * z)
+            # -log rho moves by rel, and adding log s rounds once more at each end
+            total = rel + 2.0 * U * (np.abs(e.e_total) + abs(math.log(s)))
+            assert np.all(np.abs(moved.e_total - math.log(s) - e.e_total) <= total), (b, s)
+            # -log sin(pi F) moves by |pi cot(pi F)| dF, plus the rounding of sin and log
+            osc = np.abs(cot) * dF + 2.0 * U * (1.0 + np.abs(e.e_oscillatory))
+            assert np.all(np.abs(moved.e_oscillatory - e.e_oscillatory) <= osc), (b, s)
+
+    @pytest.mark.parametrize("name", AFFINE)
+    def test_normalization(self, name):
+        d1 = AFFINE[name](0.0, 1.0)
+        want = verify_normalization(d1)
+        ends = np.array([want.details["lo"], want.details["hi"]])
+        _, _, rho_ends = derangetropy_profile(d1, ends)
+        for b, s in _affine_maps(name):
+            got = verify_normalization(AFFINE[name](b, s))
+            # each integral is within its abs_tol of the exact one, and the mapped windows
+            # differ by the rounding of their ends, which holds rho_ends * dz of mass
+            bound = 2.0 * got.details["abs_tol"] + float(np.sum(rho_ends * _dz(b, s, ends)))
+            assert abs(got.details["value"] - want.details["value"]) <= bound, (b, s)
 
 
 class TestEquilibria:
@@ -183,27 +249,23 @@ class TestEquilibria:
         assert abs(eqs[0].x) <= 1e-12 * 1e160
 
     # E_total'' scales as 1/s**2 and the scan width as s, so their product, and the class, do not
-    # depend on the unit of x; an absolute deadband classed every family degenerate from s = 1e4 up
-    @pytest.mark.parametrize(
-        "family",
-        [
-            lambda s: Uniform(0.0, s),
-            lambda s: Normal(0.0, s),
-            lambda s: Exponential(1.0 / s),
-            lambda s: Semicircle(-s, s),
-            lambda s: Arcsin(0.0, s),
-        ],
-        ids=["Uniform", "Normal", "Exponential", "Semicircle", "Arcsin"],
-    )
-    def test_classes_do_not_depend_on_scale(self, family):
-        want = [eq.classification for eq in find_equilibria(family(1.0))]
-        assert "degenerate" not in want
-        for s in (1e-12, 1e-6, 1e-3, 1e3, 1e4, 1e6, 1e12):
-            assert [eq.classification for eq in find_equilibria(family(s))] == want, s
-
-    def test_bracket_count_validated(self):
-        with pytest.raises(DomainError):
-            find_equilibria(Uniform(0.0, 1.0), n_brackets=1)
+    # depend on the unit of x; an absolute deadband classed every family degenerate from s = 1e4 up.
+    # Each root is refined to 1e-12 of the scan width, so (x - b)/s does not depend on it either;
+    # Exponential(1e12) scans a width of 9.2e-12, where a tolerance with an absolute floor would show.
+    @pytest.mark.parametrize("name", AFFINE)
+    def test_classes_do_not_depend_on_scale(self, name):
+        unit = find_equilibria(AFFINE[name](0.0, 1.0))
+        assert "degenerate" not in [eq.classification for eq in unit]
+        lo, hi = AFFINE[name](0.0, 1.0).truncated_support(verify._SCAN_EPS)
+        for b, s in _affine_maps(name, (1e-12, 1e-6, 1e-3, 1e3, 1e4, 1e6, 1e12)):
+            got = find_equilibria(AFFINE[name](b, s))
+            assert [eq.classification for eq in got] == [eq.classification for eq in unit], (b, s)
+            for eq, want in zip(got, unit):
+                z = abs(want.x)
+                # either root is within its requested 1e-12 of the width plus find_root's floor
+                # 4 eps |x| of a sign change of E', and the two E' differ by the rounding of z
+                bound = 2.0 * (1e-12 * (hi - lo) + 8.0 * U * (abs(b) / s + z)) + _dz(b, s, z)
+                assert abs((eq.x - b) / s - want.x) <= bound, (b, s)
 
 
 class TestReports:

@@ -337,11 +337,12 @@ def load_tabulated(path: str) -> Tabulated:
     """Read a two-column CSV (header containing `x` and `f`) into a Tabulated.
 
     Extra columns are ignored, so output of the `eval` subcommand re-ingests
-    directly. Raises ParseError on unreadable, non-UTF-8 or malformed text,
-    NonMonotoneGrid on unsorted grids, NegativeDensity on negative density values.
+    directly, and a leading UTF-8 byte-order mark is skipped. Raises ParseError on
+    unreadable, non-UTF-8 or malformed text, NonMonotoneGrid on unsorted grids,
+    NegativeDensity on negative density values.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc

@@ -89,10 +89,14 @@ def integrate(f: Callable, a: float, b: float, abs_tol: float = ABS_TOL) -> floa
         halves = [0.5 * (hi - lo) for lo, hi in bounds]
         xs = np.concatenate([0.5 * (lo + hi) + half * nodes for (lo, hi), half in zip(bounds, halves)])
         out = []
-        for y, half in zip(_sample(f, xs).reshape(len(bounds), nodes.size), halves):
-            v_lo = half * float(np.dot(ws_lo, y[:_GL_LOW]))
-            v_hi = half * float(np.dot(ws_hi, y[_GL_LOW:]))
-            out.append((v_hi, abs(v_hi - v_lo)))
+        # an overflowing panel is refused below: its error estimate would be inf - inf = nan
+        with np.errstate(over="ignore"):
+            for y, half, (lo, hi) in zip(_sample(f, xs).reshape(len(bounds), nodes.size), halves, bounds):
+                v_lo = half * float(np.dot(ws_lo, y[:_GL_LOW]))
+                v_hi = half * float(np.dot(ws_hi, y[_GL_LOW:]))
+                if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
+                    raise NonFiniteSample(f"integral over panel [{lo!r}, {hi!r}] is not finite")
+                out.append((v_hi, abs(v_hi - v_lo)))
         return out
 
     ((value, err),) = panels((a, b))
@@ -219,14 +223,14 @@ def _unit_density(
     """Scale sampled density values ys on the grid xs, in place, to unit trapezoid mass.
 
     Returns (density, cdf, mass): density is ys divided by its mass, and cdf is
-    its running trapezoid integral divided by its last value and clipped to
-    [0, 1], so it runs exactly from 0 to 1. InvalidGrid unless the mass is
-    positive and finite, at least n smallest normal numbers for n nodes, and
-    the scaled density's running integral is finite. So density is finite with
-    unit trapezoid mass to rounding: below that floor, terms rounded as
-    subnormals could leave it off by more. If ys is +0.0 outside nodes [lo, hi),
-    only those are scaled and summed. Every pass goes a block at a time, so the
-    cdf is the one new array the size of ys.
+    its running trapezoid integral divided by its last value. ys must be
+    nonnegative on an increasing grid, so the steps are nonnegative, the running
+    sum never passes its last value, and cdf runs exactly from 0 to 1. InvalidGrid
+    unless the mass is positive and finite, at least n smallest normal numbers
+    for n nodes, and the scaled density's running integral is finite. So density
+    is finite with unit trapezoid mass to rounding: below that floor, terms
+    rounded as subnormals could leave it off by more. If ys is +0.0 outside nodes
+    [lo, hi), only those are scaled and summed; cdf is the one new grid-sized array.
     """
     n = ys.size
     # the steps [a, b) are those that touch nodes [lo, hi): the others are +0.0
@@ -244,21 +248,17 @@ def _unit_density(
     # an overflow shows in the total, which is checked next
     with np.errstate(over="ignore", invalid="ignore"):
         ys[a] /= mass
-        # cdf[k + 1] sums steps a..k in sequence: each block's cumsum starts from
-        # the last sum of the block before it
+        # cdf[k + 1] takes step k, then one sequential running sum adds steps a..k
         for s, e in _blocks(a, b):
             ys[s + 1 : e + 1] /= mass
             steps = np.add(ys[s + 1 : e + 1], ys[s:e], out=cdf[s + 1 : e + 1])
             dx = np.subtract(xs[s + 1 : e + 1], xs[s:e], out=spacings[: e - s])
             steps *= np.multiply(0.5, dx, out=dx)
-            if s > a:
-                steps[0] += cdf[s]
-            np.cumsum(steps, out=steps)
+        np.cumsum(cdf[a + 1 : b + 1], out=cdf[a + 1 : b + 1])
     total = cdf[b]
     if not math.isfinite(total):
         raise InvalidGrid(f"sampled density of mass {mass!r} overflows when scaled to unit mass")
-    for s, e in _blocks(a + 1, b + 1):
-        np.clip(np.divide(cdf[s:e], total, out=cdf[s:e]), 0.0, 1.0, out=cdf[s:e])
+    cdf[a + 1 : b + 1] /= total
     return ys, cdf, mass
 
 

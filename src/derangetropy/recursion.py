@@ -6,11 +6,11 @@ renormalizes. Mass drifts only through trapezoid error, and the
 pre-renormalization mass of every step is kept as a health metric. A level
 handed to apply_derangetropy is fully validated, except the levels that
 iterate's own steps build, which are valid by construction (see iterate).
-Each step is evaluated only on the cdf interior, where 0 < F < 1, and one
-node past it; elsewhere the kernel is zero. Each pass (the checks, the
-kernel, the mass, the running sum, the moments) streams the grid in
-cache-sized blocks, so the only grid-sized arrays a step makes are the new
-density and cdf.
+Every step finds its cdf interior, where 0 < F < 1, by one block scan from
+each end, and evaluates the kernel only there and one node past it;
+elsewhere the kernel is zero. The checks, the kernel, the mass and the
+moments stream the grid in cache-sized blocks, so the only grid-sized
+arrays a step makes are the new density and cdf.
 """
 
 from __future__ import annotations
@@ -121,19 +121,15 @@ def apply_derangetropy(g: GridFunction, *, _trusted: bool = False) -> GridFuncti
 
     g is validated in full, and the new density is clamped to at least +0.0, so
     the level returned has no sign bit whatever g held. iterate passes _trusted
-    for the levels its own steps built (see iterate): their cdf is
-    nondecreasing from exactly 0 to exactly 1 and their density has no sign
-    bit, so the interior is found by binary search and nothing needs a clamp.
+    for the levels its own steps built (see iterate), which skip validate and
+    the clamp; the interior is found the same way on both paths.
     """
     F, n = g.cdf, g.cdf.size
-    if _trusted:
-        lo = max(int(np.searchsorted(F, 0.0, side="right")) - 1, 0)
-        hi = min(int(np.searchsorted(F, 1.0)) + 1, n)
-    else:
+    if not _trusted:
         g.validate()
-        # the cdf interior and one node past it on each side; outside [lo, hi) the kernel is zero
-        lo = max(_find(F, lambda block: block > 0.0) - 1, 0)
-        hi = max(min(n + 1 - _find(F[::-1], lambda block: block < 1.0), n), lo)
+    # the cdf interior and one node past it on each side; outside [lo, hi) the kernel is zero
+    lo = max(_find(F, lambda block: block > 0.0) - 1, 0)
+    hi = min(n + 1 - _find(F[::-1], lambda block: block < 1.0), n)
     density, clipped = np.zeros(n), np.empty(min(n, _BLOCK))
     for s, e in _blocks(lo, hi):
         derangetropy_kernel(np.clip(F[s:e], 0.0, 1.0, out=clipped[: e - s]), out=density[s:e])
@@ -159,9 +155,9 @@ def iterate(g0: GridFunction, n: int) -> list[GridFunction]:
     """
     if n < 1:
         raise DomainError(f"n must be at least 1, got {n!r}")
-    levels = [g0, apply_derangetropy(g0)]
-    for _ in range(n - 1):
-        levels.append(apply_derangetropy(levels[-1], _trusted=True))
+    levels = [g0]
+    for k in range(n):
+        levels.append(apply_derangetropy(levels[-1], _trusted=k > 0))
     return levels
 
 
@@ -181,7 +177,7 @@ def convergence_metrics(g: GridFunction, delta: float, center: float | None = No
     # moment terms on the density's support only; the others are +0.0
     xs, density, n = g.xs, g.density, g.xs.size
     a = max(_find(density, lambda block: block != 0.0) - 1, 0)
-    b = max(min(n - _find(density[::-1], lambda block: block != 0.0), n - 1), a)
+    b = min(n - _find(density[::-1], lambda block: block != 0.0), n - 1)
     y = np.empty(min(n, _BLOCK + 1))
 
     def centered(s, e):

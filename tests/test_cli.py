@@ -387,6 +387,15 @@ class TestConfigAndErrors:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_tabulated_file_with_byte_order_mark(self, capsys, tmp_path):
+        text = "x,f\n" + "".join(f"{i},{1 + i % 3}\n" for i in range(21))
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        expected = _run(capsys, ["eval", "--dist", f"tabulated:{plain}", "--points", "101"])
+        assert expected[0] == 0
+        assert _run(capsys, ["eval", "--dist", f"tabulated:{marked}", "--points", "101"]) == expected
+
     def test_tabulated_mass_overflow(self, capsys, tmp_path):
         # one block's sum of 16,384 terms of 2e305 overflows; numpy's warning must not reach stderr
         path = tmp_path / "t.csv"

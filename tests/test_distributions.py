@@ -541,6 +541,16 @@ class TestLoadTabulated:
         with pytest.raises(ParseError):
             load_tabulated(tmp_path / "nope.csv")
 
+    def test_byte_order_mark(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with one; it must not reach the header cell
+        text = "x,f\n" + "".join(f"{x!r},{1.0 + x * x!r}\n" for x in np.linspace(0.0, 1.0, 101).tolist())
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        a, b = load_tabulated(plain), load_tabulated(marked)
+        assert b.fs.tobytes() == a.fs.tobytes()
+        assert b.normalization == a.normalization
+
 
 class TestTabulatedQueries:
     def _triangle(self):

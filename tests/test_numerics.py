@@ -103,6 +103,12 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(lambda x: x, 0.0, math.inf)
 
+    def test_overflowing_panel(self):
+        # every sample is finite but the weighted sums overflow; both panel values are inf, and
+        # their difference nan would end the loop as if the estimate met the tolerance
+        with pytest.raises(NonFiniteSample, match=r"panel \[0\.0, 10\.0\]"):
+            integrate(lambda x: np.full_like(x, 1e308), 0.0, 10.0)
+
     def test_scalar_only_integrand(self):
         # integrands that choke on arrays fall back to a scalar loop
         def f(x):

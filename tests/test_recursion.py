@@ -661,8 +661,10 @@ class TestAffineEquivariance:
     window ends and the slope of f move the samples, the pdf takes a few roundings, and the
     mass and running sums of n nonnegative terms take gamma_n each. A step reads F through
     K, whose total variation on [0, 1] is 2 K(1/2), and multiplies f by K <= K(1/2), then
-    divides both by the mass, so eps_(k+1) = 6 K(1/2) eps_k + 2 gamma_n + 20 u. Arcsin is
-    left out: its density is singular at the window ends, so zeta moves its mass by far more.
+    divides both by the mass, so eps_(k+1) = 6 K(1/2) eps_k + 2 gamma_n + 20 u. Arcsin's
+    density is singular at the window ends; its TV(f) carries the edge density, and it runs
+    at tail_eps 1e-2, the README's setting. At 1e-6 the grid does not resolve the edges: the
+    level-0 median moved by 3.7e-4 to 1.3e-3 of s between s = 1 and the scales below.
     """
 
     FAMILIES = {
@@ -670,6 +672,7 @@ class TestAffineEquivariance:
         "Exponential": (lambda b, s: Exponential(1.0 / s), 1e-9),
         "Uniform": (lambda b, s: Uniform(b, b + s), 1e-9),
         "Semicircle": (lambda b, s: Semicircle(b - s, b + s), 1e-9),
+        "Arcsin": (lambda b, s: Arcsin(b, b + s), 1e-2),
     }
 
     @staticmethod
@@ -681,7 +684,7 @@ class TestAffineEquivariance:
 
     # the exponential has no location parameter, so it is only scaled
     @pytest.mark.parametrize(
-        "name, shift", [(name, 0.0) for name in FAMILIES] + [(n, 0.37) for n in ("Normal", "Uniform", "Semicircle")]
+        "name, shift", [(name, 0.0) for name in FAMILIES] + [(n, 0.37) for n in FAMILIES if n != "Exponential"]
     )
     def test_recursion_metrics(self, name, shift):
         make, eps = self.FAMILIES[name]

@@ -1,10 +1,11 @@
 """Analytic distribution zoo plus tabulated-density ingestion.
 
-Every family exposes pdf, cdf, pdf_derivative, quantile, median and support,
-and writes only support, quantile and the array-only hooks _pdf, _cdf and
-_pdf_derivative: the base class converts x to a float array once, gives a float
-back for a scalar x, and rejects derivative points outside the open support,
-infinite ends included. quantile and median are scalar. Normal's quantile is
+Every family exposes pdf, cdf, pdf_derivative, score (f'/f), quantile, median
+and support, and writes only support, quantile and the array-only hooks _pdf,
+_cdf and _pdf_derivative, plus _score where f'/f has a closed form: the base
+class converts x to a float array once, gives a float back for a scalar x, and
+rejects derivative and score points outside the open support, infinite ends
+included. quantile and median are scalar. Normal's quantile is
 Wichura's AS241 through `statistics.NormalDist`; Semicircle's alone needs root
 finding; the rest are closed forms.
 """
@@ -77,14 +78,29 @@ class Distribution(ABC):
         """Distribution function at x (scalar or array), clamped to [0, 1]."""
         return _on_array(self._cdf, x)
 
+    def _score(self, x: np.ndarray) -> np.ndarray:
+        """f'/f on a float array whose points all lie strictly inside the support.
+
+        Overridden where the ratio has a closed form, which stays finite where f' or f does not.
+        """
+        return self._pdf_derivative(x) / self._pdf(x)
+
     def pdf_derivative(self, x):
         """f'(x) strictly inside the support; DomainError at or beyond the boundary, infinite ends included."""
+        return self._inside(self._pdf_derivative, x)
+
+    def score(self, x):
+        """f'(x)/f(x), the slope of log f, under the same conditions as pdf_derivative."""
+        return self._inside(self._score, x)
+
+    def _inside(self, hook, x):
+        """hook on x as a float array, once every point is known to lie strictly inside the support."""
         arr = np.asarray(x, dtype=float)
         lo, hi = self.support()
         # written so that NaN fails it too
         if not np.all((lo < arr) & (arr < hi)):
             raise DomainError(f"derivative needs points strictly inside ({lo!r}, {hi!r})")
-        return _on_array(self._pdf_derivative, arr)
+        return _on_array(hook, arr)
 
     def median(self) -> float:
         return self.quantile(0.5)
@@ -187,7 +203,10 @@ class Normal(_Symmetric):
         return 0.5 * (1.0 + _erf(z))
 
     def _pdf_derivative(self, x):
-        return -((x - self.mu) / self.sigma) / self.sigma * self._pdf(x)
+        return self._score(x) * self._pdf(x)
+
+    def _score(self, x):
+        return -((x - self.mu) / self.sigma) / self.sigma
 
     def quantile(self, p):
         import statistics  # here, not at module level: it adds ~3 ms to `import derangetropy`
@@ -217,6 +236,9 @@ class Exponential(Distribution):
 
     def _pdf_derivative(self, x):
         return -self.lam * (self.lam * np.exp(-self.lam * x))
+
+    def _score(self, x):
+        return np.full_like(x, -self.lam)
 
     def quantile(self, p):
         p = self._check_p(p)

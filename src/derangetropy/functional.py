@@ -168,9 +168,12 @@ def _interior_point(d: Distribution, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return f, F
 
 
-def _log_slope(f: np.ndarray, F: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """rho'/rho = f*(pi*cot(pi*F) + log(F/(1-F))) + f'/f, element-wise, with cot(t) = cos(t)/sin(t)."""
-    return f * (np.pi * (np.cos(np.pi * F) / np.sin(np.pi * F)) + np.log(F / (1.0 - F))) + fp / f
+def _log_slope(f: np.ndarray, F: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """rho'/rho = f*(pi*cot(pi*F) + log(F/(1-F))) + f'/f, element-wise, with cot(t) = cos(t)/sin(t).
+
+    score is the family's f'/f, which stays finite where f' overflows or f underflows.
+    """
+    return f * (np.pi * (np.cos(np.pi * F) / np.sin(np.pi * F)) + np.log(F / (1.0 - F))) + score
 
 
 def derangetropy_derivative(d: Distribution, x):
@@ -187,7 +190,7 @@ def derangetropy_derivative(d: Distribution, x):
     """
     x = np.asarray(x, dtype=float)
     f, F = _interior_point(d, x)
-    rho_prime = derangetropy_kernel(F) * f * _log_slope(f, F, d.pdf_derivative(x))
+    rho_prime = derangetropy_kernel(F) * f * _log_slope(f, F, d.score(x))
     return float(rho_prime) if x.ndim == 0 else rho_prime
 
 
@@ -199,7 +202,7 @@ def total_energy_derivative(d: Distribution, x):
     """
     x = np.asarray(x, dtype=float)
     f, F = _interior_point(d, x)
-    slope = -_log_slope(f, F, d.pdf_derivative(x))
+    slope = -_log_slope(f, F, d.score(x))
     return float(slope) if x.ndim == 0 else slope
 
 

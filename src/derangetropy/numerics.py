@@ -3,14 +3,16 @@
 Everything downstream (normalization checks, energy profiles, the recursion)
 runs through this module, so the routines here are deliberately conservative:
 adaptive refinement with explicit budgets, hard errors on non-finite samples,
-and no silent fallbacks. `integrate` has one rule; `_adaptive_simpson` is the
-tests' independent oracle for it, and nothing in the package calls it.
+and no silent fallbacks. `integrate` has one rule, refined in rounds that each
+cut every panel above its share of the tolerance into _FAN_OUT pieces and call
+the integrand once; its budget, _MAX_SPLITS, counts the panels cut.
+`_adaptive_simpson` is the tests' independent oracle for it, and nothing in
+the package calls it.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import sys
 from typing import Callable
@@ -28,14 +30,23 @@ _GL_HIGH = 24
 # the bound `integrate` asks of its estimated absolute error unless told otherwise
 ABS_TOL = 1e-10
 
-# panel splits an adaptive rule may make before it gives up with NonConvergence
-_MAX_SPLITS = 1 << 20
+# equal pieces `integrate` cuts a panel into
+_FAN_OUT = 8
+
+# panel splits an adaptive rule may make before it gives up with NonConvergence; it
+# bounds a round of `integrate` to 36 * _FAN_OUT * _MAX_SPLITS (1.2M) sample points
+_MAX_SPLITS = 1 << 12
 
 
 @functools.cache
-def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 12 + 24 nodes of both rules on [-1, 1], and the (36, 2) matrix that weighs them into each rule's sum."""
     # on first use, not at import: np.polynomial and leggauss would add about 4 ms to the import
-    return np.polynomial.legendre.leggauss(n)
+    (x_lo, w_lo), (x_hi, w_hi) = (np.polynomial.legendre.leggauss(n) for n in (_GL_LOW, _GL_HIGH))
+    weights = np.zeros((_GL_LOW + _GL_HIGH, 2))
+    weights[:_GL_LOW, 0] = w_lo
+    weights[_GL_LOW:, 1] = w_hi
+    return np.concatenate([x_lo, x_hi]), weights
 
 
 def _sample(f: Callable, xs: np.ndarray) -> np.ndarray:
@@ -64,14 +75,17 @@ def integrate(f: Callable, a: float, b: float, abs_tol: float = ABS_TOL) -> floa
     """Adaptive quadrature of f over [a, b] to an estimated absolute error of abs_tol.
 
     The rule is a composite Gauss-Legendre one: each panel's 24-node value
-    comes with a 12-node error estimate, and the panel whose estimate is worst
-    is split in two until the estimates add up to abs_tol. Because the nodes
+    comes with a 12-node error estimate, and refinement goes in rounds until
+    the estimates add up to abs_tol. A round cuts every panel whose estimate
+    is above its even share, abs_tol / (number of panels), into _FAN_OUT
+    equal pieces, and samples f once, on the 12 + 24 nodes of every new piece.
+    So f is called 1 + rounds times: on 36 points for [a, b], then on
+    36 * _FAN_OUT points per panel cut. _MAX_SPLITS bounds the panels cut; a
+    round that would pass it cuts only its worst panels. Because the nodes
     are strictly interior, integrable endpoint singularities (inverse square
     roots, x^x terms) are handled by geometric panel grading rather than by
-    special-casing. f is sampled once per step: on the 12 + 24 nodes of [a, b]
-    (36 points), then once per split on the nodes of both halves (72 points),
-    so it is called 1 + splits times. The tests check it against
-    `_adaptive_simpson`, an independent rule.
+    special-casing. The tests check it against `_adaptive_simpson`, an
+    independent rule, and against mpmath's tanh-sinh rule.
     """
     if not (abs_tol > 0.0 and math.isfinite(abs_tol)):
         raise DomainError("abs_tol must be a positive finite number")
@@ -81,51 +95,52 @@ def integrate(f: Callable, a: float, b: float, abs_tol: float = ABS_TOL) -> floa
         return 0.0
     if a > b:
         return -integrate(f, b, a, abs_tol)
-    xs_lo, ws_lo = _gl_nodes(_GL_LOW)
-    xs_hi, ws_hi = _gl_nodes(_GL_HIGH)
-    nodes = np.concatenate([xs_lo, xs_hi])
+    nodes, weights = _rule()
 
-    def panels(*bounds: tuple[float, float]) -> list[tuple[float, float]]:
-        halves = [0.5 * (hi - lo) for lo, hi in bounds]
-        xs = np.concatenate([0.5 * (lo + hi) + half * nodes for (lo, hi), half in zip(bounds, halves)])
-        out = []
+    def panels(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Rows (lo, hi, value, error estimate), one per panel, from one call of f."""
+        half = 0.5 * (hi - lo)
+        ys = _sample(f, ((lo + half)[:, None] + half[:, None] * nodes).ravel())
         # an overflowing panel is refused below: its error estimate would be inf - inf = nan
-        with np.errstate(over="ignore"):
-            for y, half, (lo, hi) in zip(_sample(f, xs).reshape(len(bounds), nodes.size), halves, bounds):
-                v_lo = half * float(np.dot(ws_lo, y[:_GL_LOW]))
-                v_hi = half * float(np.dot(ws_hi, y[_GL_LOW:]))
-                if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
-                    raise NonFiniteSample(f"integral over panel [{lo!r}, {hi!r}] is not finite")
-                out.append((v_hi, abs(v_hi - v_lo)))
-        return out
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = ys.reshape(lo.size, nodes.size) @ weights * half[:, None]
+            err = np.abs(sums[:, 1] - sums[:, 0])
+        finite = np.isfinite(sums).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise NonFiniteSample(f"integral over panel [{float(lo[i])!r}, {float(hi[i])!r}] is not finite")
+        return np.stack([lo, hi, sums[:, 1], err], axis=1)
 
-    ((value, err),) = panels((a, b))
-    # heap entries: (-error, sequence, lo, hi, value); the sequence number
-    # breaks ties deterministically.
-    heap = [(-err, 0, a, b, value)]
-    seq = 1
-    total_err = err
+    rows = panels(np.array([a], dtype=float), np.array([b], dtype=float))
+    steps = np.arange(_FAN_OUT + 1) / _FAN_OUT
     splits = 0
-    while total_err > abs_tol:
+    while True:
+        err = rows[:, 3]
+        total_err = float(err.sum())
+        if total_err <= abs_tol:
+            return math.fsum(rows[:, 2].tolist())
         if splits >= _MAX_SPLITS:
             raise NonConvergence(
                 f"gauss_legendre_composite: error {total_err:.3e} > {abs_tol:.3e} "
                 f"after {splits} panel splits"
             )
-        neg_err, _, lo, hi, _val = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            raise NonConvergence(
-                f"gauss_legendre_composite: panel [{lo!r}, {hi!r}] cannot be split further"
-            )
-        total_err += neg_err
-        (v_l, e_l), (v_r, e_r) = panels((lo, mid), (mid, hi))
-        heapq.heappush(heap, (-e_l, seq, lo, mid, v_l))
-        heapq.heappush(heap, (-e_r, seq + 1, mid, hi, v_r))
-        seq += 2
-        total_err += e_l + e_r
-        splits += 1
-    return math.fsum(entry[4] for entry in heap)
+        # a sum above abs_tol has a term above its mean; should rounding hide it, the worst panel is cut
+        cut = err > abs_tol / err.size
+        if not cut.any():
+            cut = err == err.max()
+        # a round that would pass the budget cuts only the worst panels it has room for
+        if np.count_nonzero(cut) > _MAX_SPLITS - splits:
+            cut[np.argsort(-err, kind="stable")[_MAX_SPLITS - splits :]] = False
+        parents = rows[cut]
+        edges = parents[:, :1] + (parents[:, 1:2] - parents[:, :1]) * steps
+        # the pieces tile the panel: lo + (hi - lo) could round past hi
+        edges[:, -1] = parents[:, 1]
+        lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+        if not (lo < hi).all():
+            p_lo, p_hi = parents[int(np.argmin(lo < hi)) // _FAN_OUT, :2].tolist()
+            raise NonConvergence(f"gauss_legendre_composite: panel [{p_lo!r}, {p_hi!r}] cannot be split further")
+        rows = np.concatenate([rows[~cut], panels(lo, hi)])
+        splits += len(parents)
 
 
 def _adaptive_simpson(f: Callable, a: float, b: float, abs_tol: float) -> float:

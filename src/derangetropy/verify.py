@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,7 +72,14 @@ class VerificationReport:
         )
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # details holds floats, ints and strings, so a shallow copy is a full one
+        return {
+            "check_name": self.check_name,
+            "residual": self.residual,
+            "tolerance": self.tolerance,
+            "passed": self.passed,
+            "details": dict(self.details),
+        }
 
 
 @dataclass(frozen=True)
@@ -246,7 +253,10 @@ def find_equilibria(d: Distribution) -> list[Equilibrium]:
 
     out = []
     for r in merged:
-        second = central_difference(energy_prime, r, fd_step)
+        # E'' scales as 1/width**2 and overflows to +-inf for a narrow enough window
+        # (Exponential(1e200), Normal(0, 1e-160)), where its sign still gives the class
+        with np.errstate(over="ignore"):
+            second = central_difference(energy_prime, r, fd_step)
         # in this order, so that width**2 cannot overflow before the product is taken
         shape = second * width * width
         if shape > _CURVATURE_DEADBAND:

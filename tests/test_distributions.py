@@ -176,8 +176,23 @@ class TestDerivativeAgainstFiniteDifference:
         # the ends of the support, infinite ones included, NaN, and an array holding one of them
         lo, hi = d.support()
         for x in (lo, hi, math.nan, np.array([d.median(), hi])):
-            with pytest.raises(DomainError, match="strictly inside"):
-                d.pdf_derivative(x)
+            for method in (d.pdf_derivative, d.score):
+                with pytest.raises(DomainError, match="strictly inside"):
+                    method(x)
+
+    @pytest.mark.parametrize("d", SIX, ids=_ids)
+    def test_score_is_log_slope(self, d):
+        xs = np.array([d.quantile(p) for p in np.linspace(0.01, 0.99, 25)])
+        want = d.pdf_derivative(xs) / d.pdf(xs)
+        assert np.allclose(d.score(xs), want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "d,x,want",
+        [(Exponential(1e200), 1e-200, -1e200), (Normal(0.0, 1e-160), 1e-160, -1e160), (Normal(0.0, 1.0), 40.0, -40.0)],
+    )
+    def test_score_where_f_prime_or_f_is_not_representable(self, d, x, want):
+        # f' overflows in the first two cases and f underflows to 0 in the last, where f'/f reads nan
+        assert d.score(x) == want
 
 
 class _Minimal(Distribution):
@@ -204,7 +219,7 @@ class TestScalarsAndArrays:
 
     def test_minimal_family(self):
         d = _Minimal()
-        for method, want in ((d.pdf, 0.5), (d.cdf, 0.0625), (d.pdf_derivative, 2.0)):
+        for method, want in ((d.pdf, 0.5), (d.cdf, 0.0625), (d.pdf_derivative, 2.0), (d.score, 4.0)):
             for x in (0.25, np.float32(0.25)):
                 got = method(x)
                 assert type(got) is float and got == want
@@ -218,7 +233,7 @@ class TestScalarsAndArrays:
         inside = np.array([d.quantile(p) for p in np.linspace(0.01, 0.99, 25)])
         # pdf and cdf also at the infinities, one unit past the window on each side, -0.0 and the support ends
         anywhere = np.concatenate([inside, [-math.inf, lo - 1.0, -0.0, hi + 1.0, math.inf], d.support()])
-        for method, xs in ((d.pdf, anywhere), (d.cdf, anywhere), (d.pdf_derivative, inside)):
+        for method, xs in ((d.pdf, anywhere), (d.cdf, anywhere), (d.pdf_derivative, inside), (d.score, inside)):
             got = method(xs)
             want = [method(x) for x in xs.tolist()]
             assert all(type(w) is float for w in want)

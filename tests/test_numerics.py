@@ -13,7 +13,7 @@ from derangetropy.errors import (
     NonConvergence,
     NonFiniteSample,
 )
-from derangetropy import Exponential, Normal, Semicircle, Uniform, derangetropy_profile, numerics
+from derangetropy import Arcsin, Exponential, Normal, Semicircle, Uniform, derangetropy_profile, numerics
 from derangetropy.numerics import (
     _adaptive_simpson,
     _trapezoid,
@@ -109,6 +109,12 @@ class TestIntegrate:
         with pytest.raises(NonFiniteSample, match=r"panel \[0\.0, 10\.0\]"):
             integrate(lambda x: np.full_like(x, 1e308), 0.0, 10.0)
 
+    def test_unsplittable_panel(self):
+        # [1, 1 + 2 ulp] has no room for _FAN_OUT pieces, and the step keeps its estimate above abs_tol
+        b = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
+        with pytest.raises(NonConvergence, match=r"panel \[1\.0, 1\.0000000000000004\] cannot be split further"):
+            integrate(lambda x: np.where(x > 1.0, 1.0, 0.0), 1.0, b, 1e-300)
+
     def test_scalar_only_integrand(self):
         # integrands that choke on arrays fall back to a scalar loop
         def f(x):
@@ -130,22 +136,39 @@ class TestIntegrate:
             return appendix_integrand(x)
 
         val = integrate(counted, 0.0, 1.0, 1e-12)
-        # the root panel takes 12 + 24 nodes, each later call both halves of a split
+        # [a, b] takes 12 + 24 nodes, each later call the nodes of every piece of the panels cut in its round
+        per_cut = 36 * numerics._FAN_OUT
         assert sizes[0] == 36 and len(sizes) > 1
-        assert all(n == 72 for n in sizes[1:])
+        assert all(n > 0 and n % per_cut == 0 for n in sizes[1:])
+        assert sum(n // per_cut for n in sizes[1:]) <= numerics._MAX_SPLITS
         assert abs(val - quad(appendix_integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-14)[0]) < 1e-12
 
     def test_calls_are_one_plus_splits(self, monkeypatch):
         monkeypatch.setattr(numerics, "_MAX_SPLITS", 7)
-        calls = []
+        sizes = []
 
         def counted(x):
-            calls.append(x)
+            sizes.append(x.size)
             return np.sin(200.0 / (x + 0.01))
 
         with pytest.raises(NonConvergence, match="after 7 panel splits"):
             integrate(counted, 0.0, 1.0, 1e-14)
-        assert len(calls) == 1 + 7
+        # one call for [a, b], then one per round; the round that would pass the budget is trimmed to it
+        cuts = [n / (36 * numerics._FAN_OUT) for n in sizes[1:]]
+        assert sizes[0] == 36 and cuts == [1, 6]
+
+    def test_trimmed_round_cuts_the_worst_panel(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_SPLITS", 2)
+        calls = []
+
+        def spike(x):
+            calls.append(x)
+            return 1.0 / ((x - 0.9) ** 2 + 1e-6)
+
+        with pytest.raises(NonConvergence, match="after 2 panel splits"):
+            integrate(spike, 0.0, 1.0, 1e-12)
+        # the second round has room for one cut, and the piece [7/8, 1] holds the spike
+        assert len(calls) == 3 and calls[2].min() > 0.875
 
     @given(
         alpha=st.floats(-10, 10, allow_nan=False),
@@ -174,7 +197,8 @@ class TestSimpsonOracle:
     error estimate with it, on the integrands of the appendix and normalization checks."""
 
     # each rule's own error estimate is held to 1e-10, so two correct answers lie
-    # within 2e-10 of each other; the gaps seen are at most 2.6e-11 (Normal)
+    # within 2e-10 of each other; the gaps seen are at most 2.6e-11 (Normal), nearly
+    # all Simpson's: integrate is within 2.3e-16 of mpmath's value there (TestTanhSinhOracle)
     GAP = 2e-10
 
     def test_appendix_integrand(self):
@@ -198,6 +222,46 @@ class TestSimpsonOracle:
 
         value = integrate(rho, lo, hi, 1e-10)
         assert abs(value - _adaptive_simpson(rho, lo, hi, 1e-10)) < self.GAP
+
+
+class TestTanhSinhOracle:
+    """integrate against mpmath's tanh-sinh rule on rho written in mpmath at 30 digits, for the
+    normalization integrands of all five families: the rule clusters its nodes at the ends,
+    so it also takes Arcsin, which the Simpson oracle leaves out."""
+
+    ABS_TOL = 1e-10
+
+    # (family, x -> (f, F) in mpmath arithmetic); the gaps seen are at most 1.4e-12 (Arcsin)
+    FAMILIES = {
+        "Uniform": (Uniform(0.0, 1.0), lambda mp, x: (mp.mpf(1), x)),
+        "Normal": (Normal(0.0, 1.0), lambda mp, x: (mp.npdf(x), mp.ncdf(x))),
+        "Exponential": (Exponential(1.0), lambda mp, x: (mp.exp(-x), -mp.expm1(-x))),
+        "Semicircle": (
+            Semicircle(-1.0, 1.0),
+            lambda mp, x: (
+                2 / mp.pi * mp.sqrt((1 - x) * (1 + x)),
+                mp.mpf(0.5) + (x * mp.sqrt((1 - x) * (1 + x)) + mp.asin(x)) / mp.pi,
+            ),
+        ),
+        "Arcsin": (Arcsin(0.0, 1.0), lambda mp, x: (1 / (mp.pi * mp.sqrt(x * (1 - x))), 2 / mp.pi * mp.asin(mp.sqrt(x)))),
+    }
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_normalization_integrands(self, name):
+        import mpmath
+
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        d, f_and_cdf = self.FAMILIES[name]
+        lo, hi = d.truncated_support(1e-9)
+
+        def rho(x):
+            f, F = f_and_cdf(mp, x)
+            return 24 / (mp.pi * mp.e) * mp.sin(mp.pi * F) * F**F * (1 - F) ** (1 - F) * f
+
+        want, est = mp.quad(rho, [mp.mpf(lo), mp.mpf(hi)], method="tanh-sinh", error=True)
+        value = integrate(lambda xs: derangetropy_profile(d, xs)[2], lo, hi, self.ABS_TOL)
+        assert abs(mp.mpf(value) - want) <= self.ABS_TOL + est
 
 
 def _kernel_samples(xs):

@@ -268,6 +268,27 @@ class TestEquilibria:
                 assert abs((eq.x - b) / s - want.x) <= bound, (b, s)
 
 
+class TestNarrowWindows:
+    """Families whose f' overflows, or whose f underflows, although f'/f is representable.
+
+    E'' overflows as well, to +inf, so these take their class from its sign alone.
+    """
+
+    @pytest.mark.parametrize("name,s", [("Exponential", 1e-200), ("Normal", 1e-160)])
+    def test_equilibrium_at_scaled_place(self, name, s):
+        import warnings
+
+        (want,) = find_equilibria(AFFINE[name](0.0, 1.0))
+        lo, hi = AFFINE[name](0.0, 1.0).truncated_support(verify._SCAN_EPS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = find_equilibria(AFFINE[name](0.0, s))
+        assert [eq.classification for eq in got] == ["minimum"]
+        # the bound of TestEquilibria::test_classes_do_not_depend_on_scale at b = 0
+        bound = 2.0 * (1e-12 * (hi - lo) + 8.0 * U * abs(want.x)) + _dz(0.0, s, abs(want.x))
+        assert abs(got[0].x / s - want.x) <= bound
+
+
 class TestReports:
     def test_build_sets_passed(self):
         good = VerificationReport.build("t", residual=1e-9, tolerance=1e-6)
@@ -281,6 +302,23 @@ class TestReports:
         assert back["check_name"] == rep.check_name
         assert back["passed"] is True
         assert back["residual"] == rep.residual
+
+    def test_to_dict_is_asdict(self):
+        from dataclasses import asdict
+
+        for rep in run_suite("all"):
+            got = rep.to_dict()
+            assert got == asdict(rep) and got["details"] is not rep.details
+
+    def test_integrand_calls_per_suite(self, monkeypatch):
+        # one call per refinement round of each of the six integrals; one per panel split made 70
+        from derangetropy import numerics
+
+        sizes = []
+        sample = numerics._sample
+        monkeypatch.setattr(numerics, "_sample", lambda f, xs: sizes.append(xs.size) or sample(f, xs))
+        run_suite("all")
+        assert 6 <= len(sizes) <= 21
 
     def test_details_preserved(self):
         rep = VerificationReport.build("t", residual=0.0, tolerance=1.0, extra=42)

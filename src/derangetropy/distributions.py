@@ -1,13 +1,13 @@
 """Analytic distribution zoo plus tabulated-density ingestion.
 
-Every family exposes pdf, cdf, pdf_derivative, score (f'/f), quantile, median
+Every family exposes pdf, cdf, score (f'/f), pdf_derivative, quantile, median
 and support, and writes only support, quantile and the array-only hooks _pdf,
-_cdf and _pdf_derivative, plus _score where f'/f has a closed form: the base
-class converts x to a float array once, gives a float back for a scalar x, and
+_cdf and _score: the base class takes pdf_derivative as score times pdf,
+converts x to a float array once, gives a float back for a scalar x, and
 rejects derivative and score points outside the open support, infinite ends
-included. quantile and median are scalar. Normal's quantile is
-Wichura's AS241 through `statistics.NormalDist`; Semicircle's alone needs root
-finding; the rest are closed forms.
+included. quantile and median are scalar. Normal's quantile is Wichura's AS241
+through `statistics.NormalDist`, Semicircle's solves Kepler's equation by
+Newton steps, and the rest are closed forms.
 """
 
 from __future__ import annotations
@@ -20,12 +20,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NegativeDensity, NonFiniteSample, NonMonotoneGrid, ParseError
-from .numerics import _unit_density, find_root
+from .numerics import _unit_density
 
 
 def _erf(z: np.ndarray) -> np.ndarray:
     """math.erf per element, bit for bit, without np.vectorize's per-call overhead."""
     return np.fromiter(map(math.erf, z.ravel().tolist()), float, count=z.size).reshape(z.shape)
+
+
+def _t_minus_sin_series(t):
+    """t - sin t for 0 <= t <= 1, where it cancels, on a float or an array: t**3 (1/3! - t**2 (1/5! - ...)) to 1/19!."""
+    t2, acc = t * t, 0.0
+    for n in range(19, 1, -2):
+        acc = 1.0 / math.factorial(n) - t2 * acc
+    return t * t2 * acc
 
 
 def _on_array(hook, x):
@@ -63,8 +71,8 @@ class Distribution(ABC):
         """Distribution function on a float array, clamped to [0, 1]."""
 
     @abstractmethod
-    def _pdf_derivative(self, x: np.ndarray) -> np.ndarray:
-        """f' on a float array whose points all lie strictly inside the support."""
+    def _score(self, x: np.ndarray) -> np.ndarray:
+        """f'/f on a float array whose points all lie strictly inside the support."""
 
     @abstractmethod
     def quantile(self, p: float) -> float:
@@ -78,12 +86,9 @@ class Distribution(ABC):
         """Distribution function at x (scalar or array), clamped to [0, 1]."""
         return _on_array(self._cdf, x)
 
-    def _score(self, x: np.ndarray) -> np.ndarray:
-        """f'/f on a float array whose points all lie strictly inside the support.
-
-        Overridden where the ratio has a closed form, which stays finite where f' or f does not.
-        """
-        return self._pdf_derivative(x) / self._pdf(x)
+    def _pdf_derivative(self, x: np.ndarray) -> np.ndarray:
+        """f' on a float array strictly inside the support; overridden where f may be 0 there."""
+        return self._score(x) * self._pdf(x)
 
     def pdf_derivative(self, x):
         """f'(x) strictly inside the support; DomainError at or beyond the boundary, infinite ends included."""
@@ -172,7 +177,7 @@ class Uniform(_Interval):
     def _cdf(self, x):
         return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
 
-    def _pdf_derivative(self, x):
+    def _score(self, x):
         return np.zeros_like(x)
 
     def quantile(self, p):
@@ -201,9 +206,6 @@ class Normal(_Symmetric):
     def _cdf(self, x):
         z = (x - self.mu) / (self.sigma * math.sqrt(2.0))
         return 0.5 * (1.0 + _erf(z))
-
-    def _pdf_derivative(self, x):
-        return self._score(x) * self._pdf(x)
 
     def _score(self, x):
         return -((x - self.mu) / self.sigma) / self.sigma
@@ -234,9 +236,6 @@ class Exponential(Distribution):
     def _cdf(self, x):
         return np.where(x > 0.0, -np.expm1(-self.lam * np.maximum(x, 0.0)), 0.0)
 
-    def _pdf_derivative(self, x):
-        return -self.lam * (self.lam * np.exp(-self.lam * x))
-
     def _score(self, x):
         return np.full_like(x, -self.lam)
 
@@ -255,32 +254,33 @@ class Semicircle(_SquaredWidth):
     a: float = -1.0
     b: float = 1.0
 
-    def _radius_center(self):
-        return 0.5 * (self.b - self.a), 0.5 * (self.a + self.b)
-
     def _pdf(self, x):
         prod = (x - self.a) * (self.b - x)
         coef = 8.0 / (math.pi * (self.b - self.a) ** 2)
         return coef * np.sqrt(np.maximum(prod, 0.0))
 
     def _cdf(self, x):
-        r, c = self._radius_center()
-        u = np.clip((x - c) / r, -1.0, 1.0)
-        # (1 - u)(1 + u), not 1 - u*u, which cancels near the edges
-        val = 0.5 + (u * np.sqrt((1.0 - u) * (1.0 + u)) + np.arcsin(u)) / math.pi
-        return np.clip(val, 0.0, 1.0)
+        # in the angle t, 0 at the nearer end and pi at the center, the mass from that end to x is (t - sin t)/(2 pi)
+        near, far = x - self.a, self.b - x
+        t = np.minimum(4.0 * np.arcsin(np.sqrt(np.clip(np.minimum(near, far) / (self.b - self.a), 0.0, 0.5))), math.pi)
+        gap = np.asarray(t - np.sin(t))  # for a 0-d x numpy gives a scalar, which takes no item assignment
+        small = t < 1.0
+        gap[small] = _t_minus_sin_series(t[small])
+        return np.where(near <= far, gap, 2.0 * math.pi - gap) / (2.0 * math.pi)
 
-    def _pdf_derivative(self, x):
-        coef = 8.0 / (math.pi * (self.b - self.a) ** 2)
-        root = np.sqrt((x - self.a) * (self.b - x))
-        return coef * (self.a + self.b - 2.0 * x) / (2.0 * root)
+    def _score(self, x):
+        return 0.5 / (x - self.a) - 0.5 / (self.b - x)
 
     def quantile(self, p):
-        target = math.pi * (self._check_p(p) - 0.5)
-        # cdf(c + r*u) = p in the unit variable u; 2e-13 in u is 1e-13 of the width
-        u = find_root(lambda u: u * math.sqrt((1.0 - u) * (1.0 + u)) + math.asin(u) - target, -1.0, 1.0, tol=2e-13)
-        r, c = self._radius_center()
-        return c + r * u
+        p = self._check_p(p)
+        m = 2.0 * math.pi * min(p, 1.0 - p)
+        # Kepler's equation: t - sin t is convex, below t**3/6, so Newton overshoots once and is within 2 ulp in 4 steps
+        t = min((6.0 * m) ** (1.0 / 3.0), math.pi)
+        for _ in range(5):
+            gap = _t_minus_sin_series(t) if t < 1.0 else t - math.sin(t)
+            t -= (gap - m) / (2.0 * math.sin(0.5 * t) ** 2)
+        near = (self.b - self.a) * math.sin(0.25 * t) ** 2
+        return self.a + near if p <= 0.5 else self.b - near
 
 
 @dataclass(frozen=True)
@@ -302,11 +302,8 @@ class Arcsin(_SquaredWidth):
         u = np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
         return (2.0 / math.pi) * np.arcsin(np.sqrt(u))
 
-    def _pdf_derivative(self, x):
-        prod = (x - self.a) * (self.b - x)
-        # prod * sqrt(prod), not sqrt(prod) ** 3: numpy rounds pow on arrays and
-        # on scalars differently, and an array must give what its points give
-        return -(self.a + self.b - 2.0 * x) / (2.0 * math.pi * (prod * np.sqrt(prod)))
+    def _score(self, x):
+        return 0.5 / (self.b - x) - 0.5 / (x - self.a)
 
     def quantile(self, p):
         p = self._check_p(p)
@@ -350,6 +347,9 @@ class Tabulated(Distribution):
         # slope of the linear interpolant on the segment containing x
         idx = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, self.xs.size - 2)
         return (self.fs[idx + 1] - self.fs[idx]) / (self.xs[idx + 1] - self.xs[idx])
+
+    def _score(self, x):
+        return self._pdf_derivative(x) / self._pdf(x)
 
     def quantile(self, p):
         return _linear_cdf_quantile(self.xs, self._cdf_nodes, p)

@@ -5,9 +5,9 @@ runs through this module, so the routines here are deliberately conservative:
 adaptive refinement with explicit budgets, hard errors on non-finite samples,
 and no silent fallbacks. `integrate` has one rule, refined in rounds that each
 cut every panel above its share of the tolerance into _FAN_OUT pieces and call
-the integrand once; its budget, _MAX_SPLITS, counts the panels cut.
-`_adaptive_simpson` is the tests' independent oracle for it, and nothing in
-the package calls it.
+the integrand once; its budget, _MAX_SPLITS, counts the panels cut. The
+tests check it against adaptive Simpson, an independent rule kept in the
+tests, which shares that budget.
 """
 
 from __future__ import annotations
@@ -64,13 +64,6 @@ def _sample(f: Callable, xs: np.ndarray) -> np.ndarray:
     return ys
 
 
-def _sample_one(f: Callable, x: float) -> float:
-    y = float(f(x))
-    if not math.isfinite(y):
-        raise NonFiniteSample(f"integrand returned a non-finite value at x={x!r}")
-    return y
-
-
 def integrate(f: Callable, a: float, b: float, abs_tol: float = ABS_TOL) -> float:
     """Adaptive quadrature of f over [a, b] to an estimated absolute error of abs_tol.
 
@@ -84,8 +77,8 @@ def integrate(f: Callable, a: float, b: float, abs_tol: float = ABS_TOL) -> floa
     round that would pass it cuts only its worst panels. Because the nodes
     are strictly interior, integrable endpoint singularities (inverse square
     roots, x^x terms) are handled by geometric panel grading rather than by
-    special-casing. The tests check it against `_adaptive_simpson`, an
-    independent rule, and against mpmath's tanh-sinh rule.
+    special-casing. The tests check it against adaptive Simpson, an
+    independent rule of their own, and against mpmath's tanh-sinh rule.
     """
     if not (abs_tol > 0.0 and math.isfinite(abs_tol)):
         raise DomainError("abs_tol must be a positive finite number")
@@ -141,48 +134,6 @@ def integrate(f: Callable, a: float, b: float, abs_tol: float = ABS_TOL) -> floa
             raise NonConvergence(f"gauss_legendre_composite: panel [{p_lo!r}, {p_hi!r}] cannot be split further")
         rows = np.concatenate([rows[~cut], panels(lo, hi)])
         splits += len(parents)
-
-
-def _adaptive_simpson(f: Callable, a: float, b: float, abs_tol: float) -> float:
-    """Adaptive Simpson over a < b: the tests' oracle for `integrate`, sharing only its split budget."""
-    # The top-level endpoint samples are nudged inward so integrands with
-    # removable endpoint trouble (0^0 conventions, 1/sqrt factors already
-    # multiplied away) do not trip the finiteness check.
-    nudge = (b - a) * 1e-12
-    fa = _sample_one(f, a + nudge)
-    fb = _sample_one(f, b - nudge)
-    mid = 0.5 * (a + b)
-    fmid = _sample_one(f, mid)
-    whole = (b - a) * (fa + 4.0 * fmid + fb) / 6.0
-
-    stack = [(a, fa, b, fb, mid, fmid, whole, abs_tol)]
-    pieces = []
-    splits = 0
-    while stack:
-        a0, fa0, b0, fb0, m0, fm0, whole0, tol0 = stack.pop()
-        lm = 0.5 * (a0 + m0)
-        rm = 0.5 * (m0 + b0)
-        flm = _sample_one(f, lm)
-        frm = _sample_one(f, rm)
-        left = (m0 - a0) * (fa0 + 4.0 * flm + fm0) / 6.0
-        right = (b0 - m0) * (fm0 + 4.0 * frm + fb0) / 6.0
-        delta = left + right - whole0
-        if abs(delta) <= 15.0 * tol0:
-            pieces.append(left + right + delta / 15.0)
-            continue
-        if splits >= _MAX_SPLITS:
-            raise NonConvergence(
-                f"adaptive_simpson: interval [{a0!r}, {b0!r}] still above tolerance "
-                f"after {splits} subdivisions"
-            )
-        if not (a0 < lm < m0 and m0 < rm < b0):
-            raise NonConvergence(
-                f"adaptive_simpson: interval [{a0!r}, {b0!r}] cannot be split further"
-            )
-        splits += 1
-        stack.append((a0, fa0, m0, fm0, lm, flm, left, 0.5 * tol0))
-        stack.append((m0, fm0, b0, fb0, rm, frm, right, 0.5 * tol0))
-    return math.fsum(pieces)
 
 
 # nodes per block of a streamed pass over a grid: a few float64 blocks of scratch stay in L2

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import cli_cases
 from derangetropy.cli import _render_json, _table, main
 
 RHO_FLAT_CENTER = 1.4051959565836603
@@ -486,3 +487,17 @@ class TestTable:
                     # repr tells -0.0 from 0.0 and ints from floats
                     parsed = json.loads(cell)
                     assert type(parsed) is type(value) and repr(parsed) == repr(value)
+
+
+@pytest.fixture(scope="module")
+def tab(tmp_path_factory):
+    return cli_cases.write_tab(tmp_path_factory.mktemp("cases"))
+
+
+class TestCheckedInCases:
+    """The cases whose output bytes are compared between trees all end in a documented exit code."""
+
+    @pytest.mark.parametrize("argv", cli_cases.SPEC["cases"], ids=" ".join)
+    def test_exit_code_without_traceback(self, argv, tab):
+        code, _, err = cli_cases.run(cli_cases.with_tab(argv, tab))
+        assert code in (0, 1, 2, 3) and "Traceback" not in err

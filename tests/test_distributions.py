@@ -42,6 +42,24 @@ def _ids(d):
     return type(d).__name__
 
 
+def _tabulated_log_pdf(mp, d, x):
+    """log of the linear interpolant on the segment that Tabulated takes for x, in mpmath arithmetic."""
+    i = int(np.searchsorted(d.xs, float(x), side="right")) - 1
+    x0, x1, f0, f1 = (mp.mpf(float(v)) for v in (d.xs[i], d.xs[i + 1], d.fs[i], d.fs[i + 1]))
+    return mp.log(f0 + (x - x0) * (f1 - f0) / (x1 - x0))
+
+
+# log f of each family of SIX up to a constant, in mpmath arithmetic, strictly inside the support
+LOG_PDF = {
+    "Uniform": lambda mp, d, x: mp.mpf(0),
+    "Normal": lambda mp, d, x: -x * x / 2,
+    "Exponential": lambda mp, d, x: -x,
+    "Semicircle": lambda mp, d, x: mp.log((1 - x) * (1 + x)) / 2,
+    "Arcsin": lambda mp, d, x: -mp.log(x * (1 - x)) / 2,
+    "Tabulated": _tabulated_log_pdf,
+}
+
+
 class TestPointValues:
     def test_uniform(self):
         d = Uniform(0.0, 1.0)
@@ -182,9 +200,14 @@ class TestDerivativeAgainstFiniteDifference:
 
     @pytest.mark.parametrize("d", SIX, ids=_ids)
     def test_score_is_log_slope(self, d):
-        xs = np.array([d.quantile(p) for p in np.linspace(0.01, 0.99, 25)])
-        want = d.pdf_derivative(xs) / d.pdf(xs)
-        assert np.allclose(d.score(xs), want, rtol=1e-13, atol=0.0)
+        import mpmath
+
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        xs = [d.quantile(p) for p in np.linspace(0.01, 0.99, 25)]
+        want = np.array([float(mp.diff(lambda x: LOG_PDF[_ids(d)](mp, d, x), mp.mpf(x))) for x in xs])
+        # Arcsin's and Semicircle's two terms cancel toward the center, so the error is bounded by the largest score
+        assert np.all(np.abs(d.score(np.array(xs)) - want) <= 1e-14 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize(
         "d,x,want",
@@ -207,8 +230,8 @@ class _Minimal(Distribution):
     def _cdf(self, x):
         return np.clip(x, 0.0, 1.0) ** 2
 
-    def _pdf_derivative(self, x):
-        return np.full_like(x, 2.0)
+    def _score(self, x):
+        return 1.0 / x
 
     def quantile(self, p):
         return math.sqrt(self._check_p(p))
@@ -272,7 +295,7 @@ class TestQuantile:
 
 
 class TestQuantileAccuracy:
-    """The Normal and Semicircle quantiles against mpmath at 50 digits."""
+    """The Normal and Semicircle quantiles, and the Semicircle cdf, against mpmath at 50 digits."""
 
     @pytest.fixture
     def mp(self):
@@ -309,15 +332,43 @@ class TestQuantileAccuracy:
             ref = (mp.mpf(a) + b) / 2 + (mp.mpf(b) - a) / 2 * lo
             assert abs(d.quantile(p) - ref) <= 1e-13 * (b - a), p
 
-    @pytest.mark.parametrize("p, rel", [(1e-12, 1e-4), (1e-9, 1e-7), (1e-6, 1e-10)])
-    def test_semicircle_cdf_near_the_edge(self, mp, p, rel):
-        # the factored (1 - u)(1 + u) gives 3.6e-5, 3.7e-8 and 3.6e-11 here; 1 - u*u gave
-        # 2.3e-2, 3.9e-6 and 4.1e-10. The rest is 0.5 + asin(u)/pi cancelling.
-        d = Semicircle(-1.0, 1.0)
-        x = d.quantile(p)
-        u = mp.mpf(x)
-        ref = mp.mpf(0.5) + (u * mp.sqrt(1 - u * u) + mp.asin(u)) / mp.pi
-        assert abs(d.cdf(x) - ref) <= rel * ref
+    @staticmethod
+    def _semicircle_cdf(mp, w):
+        """Semicircle(0, 1).cdf at 0 < w <= 1/2: (t - sin t)/(2 pi) with t = 4 asin(sqrt w), by a series that does
+        not cancel: t - sin t = (t**3/6) 1F2(1; 2, 5/2; -t**2/4)."""
+        t = 4 * mp.asin(mp.sqrt(w))
+        return t**3 / (12 * mp.pi) * mp.hyp1f2(1, 2, 2.5, -t * t / 4)
+
+    def _semicircle_quantile(self, mp, p, w):
+        """The w in (0, 1/2] with Semicircle(0, 1).cdf(w) = p, by Newton on the exact cdf from a close w."""
+        w = mp.mpf(w)
+        for _ in range(3):
+            w -= (self._semicircle_cdf(mp, w) - p) / (8 / mp.pi * mp.sqrt(w * (1 - w)))
+        return w
+
+    def test_semicircle_quantile_is_relative_to_the_edge(self, mp):
+        d = Semicircle(0.0, 1.0)
+        for p in np.geomspace(1e-300, 0.5, 61).tolist():
+            x = d.quantile(p)
+            assert abs(x - self._semicircle_quantile(mp, p, x)) <= 1e-15 * x, p
+
+    def test_semicircle_quantile_to_the_rounding_of_x(self, mp):
+        # x = -1 + 2 w or 1 - 2 w rounds to a multiple of ulp(1)/2 at worst
+        d, unit = Semicircle(-1.0, 1.0), Semicircle(0.0, 1.0)
+        for p in np.concatenate([np.geomspace(1e-300, 0.5, 41), 1.0 - np.geomspace(1e-15, 0.5, 41)]).tolist():
+            # 1 - p is exact for p >= 1/2, and the mass below -1 + 2 w is that above 1 - 2 w
+            q = min(p, 1.0 - p)
+            w = self._semicircle_quantile(mp, q, unit.quantile(q))
+            ref = -1 + 2 * w if p <= 0.5 else 1 - 2 * w
+            assert abs(d.quantile(p) - ref) <= 4.0 * math.ulp(1.0), p
+
+    def test_semicircle_cdf_is_relative_to_the_edge(self, mp):
+        # 0.5 + (u sqrt((1 - u)(1 + u)) + asin u)/pi cancelled, to 3.6e-5 relative at F = 1e-12
+        d = Semicircle(0.0, 1.0)
+        for p in np.concatenate([np.geomspace(1e-300, 0.5, 61), np.linspace(0.01, 0.5, 50)]).tolist():
+            x = d.quantile(p)
+            ref = self._semicircle_cdf(mp, mp.mpf(x))
+            assert abs(d.cdf(x) - ref) <= 1e-14 * ref, p
 
     @pytest.mark.parametrize(
         "z",

@@ -15,7 +15,6 @@ from derangetropy.errors import (
 )
 from derangetropy import Arcsin, Exponential, Normal, Semicircle, Uniform, derangetropy_profile, numerics
 from derangetropy.numerics import (
-    _adaptive_simpson,
     _trapezoid,
     _unit_density,
     central_difference,
@@ -23,9 +22,10 @@ from derangetropy.numerics import (
     integrate,
 )
 from derangetropy.verify import find_equilibria
+from simpson_oracle import adaptive_simpson
 
 # the quadrature rule under test and its oracle, called as rule(f, a, b, abs_tol)
-ROUTES, ROUTE_IDS = [integrate, _adaptive_simpson], ["gauss_legendre", "simpson"]
+ROUTES, ROUTE_IDS = [integrate, adaptive_simpson], ["gauss_legendre", "simpson"]
 
 # target of the sin(pi z) z^z (1-z)^(1-z) integral over [0,1]
 PI_E_OVER_24 = math.pi * math.e / 24.0
@@ -82,7 +82,7 @@ class TestIntegrate:
         # the simpson route samples (nudged) endpoints, so the cached huge
         # value near 0 keeps its leftmost panel from ever being accepted
         with pytest.raises(NonConvergence):
-            _adaptive_simpson(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, numerics.ABS_TOL)
+            adaptive_simpson(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, numerics.ABS_TOL)
 
     @pytest.mark.parametrize("rule", ROUTES, ids=ROUTE_IDS)
     def test_budget_exhaustion(self, rule, monkeypatch):
@@ -193,7 +193,7 @@ class TestAbsTol:
 
 
 class TestSimpsonOracle:
-    """integrate against _adaptive_simpson, a rule that shares no nodes, weights or
+    """integrate against adaptive_simpson, a rule that shares no nodes, weights or
     error estimate with it, on the integrands of the appendix and normalization checks."""
 
     # each rule's own error estimate is held to 1e-10, so two correct answers lie
@@ -205,7 +205,7 @@ class TestSimpsonOracle:
         from derangetropy.verify import appendix_integrand
 
         value = integrate(appendix_integrand, 0.0, 1.0, 1e-10)
-        assert abs(value - _adaptive_simpson(appendix_integrand, 0.0, 1.0, 1e-10)) < self.GAP
+        assert abs(value - adaptive_simpson(appendix_integrand, 0.0, 1.0, 1e-10)) < self.GAP
 
     # Arcsin is left out: its rho has an inverse square root at both ends, and
     # Simpson samples (nudged) endpoints, so it cannot split its edge panel
@@ -221,7 +221,7 @@ class TestSimpsonOracle:
             return derangetropy_profile(d, xs)[2]
 
         value = integrate(rho, lo, hi, 1e-10)
-        assert abs(value - _adaptive_simpson(rho, lo, hi, 1e-10)) < self.GAP
+        assert abs(value - adaptive_simpson(rho, lo, hi, 1e-10)) < self.GAP
 
 
 class TestTanhSinhOracle:

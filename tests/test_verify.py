@@ -268,13 +268,25 @@ class TestEquilibria:
                 assert abs((eq.x - b) / s - want.x) <= bound, (b, s)
 
 
-class TestNarrowWindows:
-    """Families whose f' overflows, or whose f underflows, although f'/f is representable.
+# the widths of Arcsin and Semicircle from the smallest that _SquaredWidth accepts to 1e150
+EDGE_WIDTHS = (1.5e-154, 1e-150, 1e-120, 1e-110, 1e103, 1e104, 1e150)
 
-    E'' overflows as well, to +inf, so these take their class from its sign alone.
+
+class TestNarrowWindows:
+    """Families whose f' or f overflows or underflows at the scan's points although f'/f is representable.
+
+    E'' may overflow as well, to +-inf, where its sign alone gives the class. Arcsin's f' has
+    ((x - a)(b - x))**1.5 below the line, which underflows or overflows for widths below about
+    1e-104 or above about 1e103; its score is a difference of two quotients instead.
     """
 
-    @pytest.mark.parametrize("name,s", [("Exponential", 1e-200), ("Normal", 1e-160)])
+    @pytest.mark.parametrize(
+        "name,s",
+        [("Exponential", 1e-200), ("Normal", 1e-160)]
+        + [("Arcsin", w) for w in EDGE_WIDTHS]
+        # Semicircle(b - s, b + s) has width 2 s
+        + [("Semicircle", w / 2.0) for w in EDGE_WIDTHS],
+    )
     def test_equilibrium_at_scaled_place(self, name, s):
         import warnings
 
@@ -283,7 +295,7 @@ class TestNarrowWindows:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = find_equilibria(AFFINE[name](0.0, s))
-        assert [eq.classification for eq in got] == ["minimum"]
+        assert [eq.classification for eq in got] == [want.classification]
         # the bound of TestEquilibria::test_classes_do_not_depend_on_scale at b = 0
         bound = 2.0 * (1e-12 * (hi - lo) + 8.0 * U * abs(want.x)) + _dz(0.0, s, abs(want.x))
         assert abs(got[0].x / s - want.x) <= bound

@@ -362,6 +362,15 @@ class TestQuantileAccuracy:
             ref = -1 + 2 * w if p <= 0.5 else 1 - 2 * w
             assert abs(d.quantile(p) - ref) <= 4.0 * math.ulp(1.0), p
 
+    @pytest.mark.parametrize("p, rel", [(1e-12, 1e-4), (1e-9, 1e-7), (1e-6, 1e-10)])
+    def test_semicircle_cdf_near_the_edge(self, mp, p, rel):
+        # on (-1, 1), against the textbook 0.5 + (u sqrt(1 - u*u) + asin u)/pi taken in high precision
+        d = Semicircle(-1.0, 1.0)
+        x = d.quantile(p)
+        u = mp.mpf(x)
+        ref = mp.mpf(0.5) + (u * mp.sqrt(1 - u * u) + mp.asin(u)) / mp.pi
+        assert abs(d.cdf(x) - ref) <= rel * ref
+
     def test_semicircle_cdf_is_relative_to_the_edge(self, mp):
         # 0.5 + (u sqrt((1 - u)(1 + u)) + asin u)/pi cancelled, to 3.6e-5 relative at F = 1e-12
         d = Semicircle(0.0, 1.0)

@@ -349,7 +349,10 @@ class Tabulated(Distribution):
         return (self.fs[idx + 1] - self.fs[idx]) / (self.xs[idx + 1] - self.xs[idx])
 
     def _score(self, x):
-        return self._pdf_derivative(x) / self._pdf(x)
+        f = self._pdf(x)
+        if not np.all(f > 0.0):
+            raise DomainError(f"score needs f > 0, got f = 0 at x={x.item(int(np.argmin(f > 0.0)))!r}")
+        return self._pdf_derivative(x) / f
 
     def quantile(self, p):
         return _linear_cdf_quantile(self.xs, self._cdf_nodes, p)

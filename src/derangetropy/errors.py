@@ -29,10 +29,6 @@ class NegativeDensity(DerangetropyError):
     """A density value is negative beyond rounding tolerance."""
 
 
-class NoSignChange(DerangetropyError):
-    """A root bracket does not actually bracket a sign change."""
-
-
 class ParseError(DerangetropyError):
     """Text input (CSV rows, distribution specs, config files) failed to parse."""
 

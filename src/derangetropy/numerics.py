@@ -7,19 +7,20 @@ and no silent fallbacks. `integrate` has one rule, refined in rounds that each
 cut every panel above its share of the tolerance into _FAN_OUT pieces and call
 the integrand once; its budget, _MAX_SPLITS, counts the panels cut. The
 tests check it against adaptive Simpson, an independent rule kept in the
-tests, which shares that budget.
+tests, which shares that budget. `_refine` refines each root of
+`find_equilibria`'s scan by Chandrupatla's method, from the scan's own values
+at the bracket ends, so those are never sampled again.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvalidGrid, NoSignChange, NonConvergence, NonFiniteSample
+from .errors import DomainError, InvalidGrid, NonConvergence, NonFiniteSample
 
 # Panel orders for the composite Gauss-Legendre rule. The low-order value is
 # only used for the error estimate; the returned value always comes from the
@@ -228,81 +229,37 @@ def _unit_density(
     return ys, cdf, mass
 
 
-def find_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-) -> float:
-    """Brent's method on a bracketing interval.
+def _refine(f: Callable[[float], float], a: float, b: float, fa: float, fb: float, tol: float) -> float:
+    """A sign change of f in [a, b] to within tol + 4 eps |x|, by Chandrupatla's method.
 
-    Requires f(lo) and f(hi) to have opposite signs (or one of them to be an
-    exact zero); raises NoSignChange otherwise. Convergence is guaranteed:
-    the bracket shrinks at least as fast as bisection. The result is within
-    tol (plus a machine-precision floor) of a sign change of f.
+    fa and fb are f(a) and f(b), which the caller holds, of opposite signs or
+    one of them 0. Each step interpolates an inverse quadratic through the last
+    three points where Chandrupatla's test allows it and bisects otherwise, and
+    moves at least the tolerance's share of the bracket (Adv. Eng. Software 28,
+    1997; scipy's elementwise find_root). Returns the bracket end with the
+    smaller |f| once the bracket is narrower than the tolerance or that f is 0.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-        raise DomainError(f"invalid bracket [{lo!r}, {hi!r}]")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise DomainError("tol must be positive and finite")
-    fa = float(f(lo))
-    fb = float(f(hi))
-    if not (math.isfinite(fa) and math.isfinite(fb)):
-        raise NonFiniteSample("f is not finite at the bracket endpoints")
-    if fa == 0.0:
-        return lo
-    if fb == 0.0:
-        return hi
-    if (fa > 0.0) == (fb > 0.0):
-        raise NoSignChange(f"f({lo!r})={fa!r} and f({hi!r})={fb!r} have the same sign")
-
-    a, b, c = lo, hi, lo
-    fc = fa
-    d = e = b - a
-    eps = sys.float_info.epsilon
+    # x3 = x1 fails the interpolation test, so the first step bisects
+    x1, f1, x2, f2, x3, f3 = a, fa, b, fb, a, fa
+    eps = math.ulp(1.0)
     while True:
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * eps * abs(b) + 0.5 * tol
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                # secant step
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:
-                # inverse quadratic interpolation
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e = d
-                d = p / q
-            else:
-                d = xm
-                e = d
+        xm, fm = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
+        # the step, as a fraction of the bracket, that the tolerance allows at least
+        tl = (2.0 * eps * abs(xm) + 0.5 * tol) / abs(x2 - x1)
+        if tl > 0.5 or fm == 0.0:
+            return xm
+        xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+        t = 0.5
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2)
+        xt = x1 + min(1.0 - tl, max(tl, t)) * (x2 - x1)
+        ft = float(f(xt))
+        if not math.isfinite(ft):
+            raise NonFiniteSample(f"f returned a non-finite value at x={xt!r}")
+        if (ft > 0.0) == (f1 > 0.0):
+            x3, f3, x1, f1 = x1, f1, xt, ft
         else:
-            d = xm
-            e = d
-        a, fa = b, fb
-        if abs(d) > tol1:
-            b += d
-        else:
-            b += tol1 if xm > 0.0 else -tol1
-        fb = float(f(b))
-        if not math.isfinite(fb):
-            raise NonFiniteSample(f"f returned a non-finite value at x={b!r}")
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
+            x3, f3, x2, f2, x1, f1 = x2, f2, x1, f1, xt, ft
 
 
 def central_difference(f: Callable, x, h: float):

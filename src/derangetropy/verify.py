@@ -21,7 +21,7 @@ from .distributions import (
     Semicircle,
     Uniform,
 )
-from .errors import DomainError, SymmetryProbeFailed
+from .errors import DomainError, NonFiniteSample, SymmetryProbeFailed
 from .functional import (
     SCALE,
     derangetropy_derivative,
@@ -29,7 +29,7 @@ from .functional import (
     derangetropy_profile,
     total_energy_derivative,
 )
-from .numerics import ABS_TOL, central_difference, find_root, integrate
+from .numerics import ABS_TOL, _refine, central_difference, integrate
 
 # target value of the appendix integral, pi*e/24 in double precision
 APPENDIX_CONSTANT = math.pi * math.e / 24.0
@@ -228,11 +228,12 @@ def find_equilibria(d: Distribution) -> list[Equilibrium]:
 
     The derivative of the total energy is evaluated analytically as
     -rho'/rho; the scan covers [quantile(_SCAN_EPS), quantile(1-_SCAN_EPS)]
-    with _N_BRACKETS intervals, each sign change refined by find_root to
-    1e-12 of the scan width and classified by a finite-difference second
-    derivative of E_total with step 1e-4 of the width. The class reads that
-    curvature times width**2, so neither it nor the root's place in the
-    window depends on the unit of x.
+    with _N_BRACKETS intervals. Each sign change is refined to 1e-12 of the
+    scan width by Chandrupatla's method from the scan's own values at the
+    bracket ends, and classified by E_total'' times width**2, formed from one
+    call's two samples of E' 1e-4 of the width either side, so that neither
+    the class nor the root's place in the window depends on the width in
+    either direction.
     """
     lo, hi = d.truncated_support(_SCAN_EPS)
     width = hi - lo
@@ -244,7 +245,7 @@ def find_equilibria(d: Distribution) -> list[Equilibrium]:
     vals = total_energy_derivative(d, xs)
     roots = xs[vals == 0.0].tolist()
     for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0):
-        roots.append(find_root(energy_prime, float(xs[i]), float(xs[i + 1]), tol=root_tol))
+        roots.append(_refine(energy_prime, *xs[i : i + 2].tolist(), *vals[i : i + 2].tolist(), root_tol))
 
     merged: list[float] = []
     for r in sorted(roots):
@@ -253,12 +254,14 @@ def find_equilibria(d: Distribution) -> list[Equilibrium]:
 
     out = []
     for r in merged:
-        # E'' scales as 1/width**2 and overflows to +-inf for a narrow enough window
-        # (Exponential(1e200), Normal(0, 1e-160)), where its sign still gives the class
-        with np.errstate(over="ignore"):
-            second = central_difference(energy_prime, r, fd_step)
-        # in this order, so that width**2 cannot overflow before the product is taken
-        shape = second * width * width
+        below, above = total_energy_derivative(d, np.array([r - fd_step, r + fd_step])).tolist()
+        if not (math.isfinite(below) and math.isfinite(above)):
+            raise NonFiniteSample(f"E' is not finite within {fd_step!r} of x={r!r}")
+        # E'' scales as 1/width**2: it overflows to +-inf for Exponential(1e200) and underflows
+        # to 0 for Uniform(0, 1e200). The class is E'' * width**2 with fd_step = 1e-4 * width
+        # cancelled, a difference of E' (which scales as 1/width) times width, so it does neither
+        second = (above - below) / (2.0 * fd_step)
+        shape = (above - below) * width / 2e-4
         if shape > _CURVATURE_DEADBAND:
             kind = "minimum"
         elif shape < -_CURVATURE_DEADBAND:

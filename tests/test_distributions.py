@@ -653,6 +653,22 @@ class TestTabulatedQueries:
         assert d.pdf_derivative(0.3) == pytest.approx(1.0, rel=1e-9)
         assert d.pdf_derivative(1.7) == pytest.approx(-1.0, rel=1e-9)
 
+    def test_score_on_a_zero_stretch(self):
+        # inside the support where f is 0, as total_energy_derivative refuses there too
+        import warnings
+
+        from derangetropy.functional import total_energy_derivative
+
+        d = Tabulated(np.linspace(0.0, 4.0, 9), [1, 1, 0, 0, 1, 1, 1, 1, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (1.0, 1.25, 1.5, np.array([0.5, 1.25])):
+                with pytest.raises(DomainError, match="f > 0"):
+                    d.score(x)
+                with pytest.raises(DomainError, match="f > 0"):
+                    total_energy_derivative(d, x)
+            assert d.score(0.75) == -4.0
+
     def test_vector_queries(self):
         d = self._triangle()
         out = d.pdf(np.array([0.5, 1.0, 1.5]))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from derangetropy.errors import (
     DomainError,
     InvalidGrid,
-    NoSignChange,
     NonConvergence,
     NonFiniteSample,
 )
@@ -18,7 +17,6 @@ from derangetropy.numerics import (
     _trapezoid,
     _unit_density,
     central_difference,
-    find_root,
     integrate,
 )
 from derangetropy.verify import find_equilibria
@@ -465,44 +463,83 @@ class TestTrapezoid:
         assert _trapezoid(ys, xs) == math.fsum(ys[1:] + ys[:-1]) / 2.0
 
 
+def _refine(f, a, b, tol=1e-12):
+    """numerics._refine on [a, b], given f at both ends as its one caller gives them."""
+    return numerics._refine(f, a, b, f(a), f(b), tol)
+
+
+def _root_kind(kind, r, rng):
+    """A function with one sign change, at r, of the kind the property test draws."""
+    if kind == "steep_tanh":
+        k = 10.0 ** rng.uniform(0.0, 6.0)
+        return lambda x: math.tanh(k * (x - r))
+    if kind == "jump":
+        return lambda x: 1.0 if x >= r else -1.0
+    if kind == "cube_root":
+        return lambda x: math.copysign(abs(x - r) ** (1.0 / 3.0), x - r)
+    if kind == "ninth_power":
+        return lambda x: (x - r) ** 9
+    k = 10.0 ** rng.uniform(-1.0, 1.5)
+    return lambda x: math.expm1(k * (x - r))
+
+
 class TestFindRoot:
+    """numerics._refine, Chandrupatla's method on a bracket whose end values the caller holds."""
+
     def test_linear(self):
-        assert abs(find_root(lambda x: x - 0.5, 0.0, 1.0) - 0.5) < 1e-10
+        assert abs(_refine(lambda x: x - 0.5, 0.0, 1.0) - 0.5) < 1e-10
 
     def test_cosine(self):
-        assert abs(find_root(lambda x: math.cos(math.pi * x), 0.0, 1.0) - 0.5) < 1e-10
+        assert abs(_refine(lambda x: math.cos(math.pi * x), 0.0, 1.0) - 0.5) < 1e-10
 
     def test_energy_derivative_of_flat_density(self):
-        from derangetropy.distributions import Uniform
         from derangetropy.functional import total_energy_derivative
 
         d = Uniform(0.0, 1.0)
-        root = find_root(lambda x: total_energy_derivative(d, x), 0.25, 0.75)
+        root = _refine(lambda x: total_energy_derivative(d, x), 0.25, 0.75)
         assert abs(root - 0.5) < 1e-10
 
     def test_endpoint_zero_short_circuits(self):
-        assert find_root(lambda x: x, 0.0, 1.0) == 0.0
-
-    def test_no_sign_change(self):
-        with pytest.raises(NoSignChange):
-            find_root(lambda x: x * x + 1.0, 0.0, 1.0)
-
-    def test_bad_bracket(self):
-        with pytest.raises(DomainError):
-            find_root(lambda x: x, 1.0, 0.0)
+        calls = []
+        assert numerics._refine(calls.append, 0.0, 1.0, 0.0, 1.0, 1e-12) == 0.0
+        assert calls == []
 
     def test_nonfinite_at_bracket(self):
-        with pytest.raises(NonFiniteSample):
-            find_root(lambda x: math.nan, 0.0, 1.0)
+        # a sample inside the bracket; the caller has checked the two it passes in
+        with pytest.raises(NonFiniteSample, match="x=0.5"):
+            numerics._refine(lambda x: math.nan, 0.0, 1.0, -1.0, 1.0, 1e-12)
 
     def test_result_is_a_python_float(self):
-        # both take a minimal step of tol1, so a numpy scalar in tol1 would make the result numpy.float64
+        # a numpy scalar in the tolerance or the bracket would make every step, and the result, numpy.float64
         assert type(Semicircle(-1.0, 1.0).quantile(1e-9)) is float
         assert type(find_equilibria(Exponential(1e8))[0].x) is float
+        assert type(numerics._refine(lambda x: x - 0.3, *np.array([0.0, 1.0, -0.3, 0.7]).tolist(), 1e-12)) is float
 
     def test_steep_root(self):
-        root = find_root(lambda x: math.tanh(50.0 * (x - 0.3217)), 0.0, 1.0, tol=1e-14)
+        root = _refine(lambda x: math.tanh(50.0 * (x - 0.3217)), 0.0, 1.0, tol=1e-14)
         assert abs(root - 0.3217) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["steep_tanh", "jump", "cube_root", "ninth_power", "expm1"])
+    def test_within_tol_of_a_sign_change_in_few_calls(self, kind):
+        rng = np.random.default_rng(1997)
+        for _ in range(400):
+            a = rng.uniform(-2.0, 2.0)
+            b = a + 10.0 ** rng.uniform(-3.0, 1.0)
+            r = a + (b - a) * rng.uniform(0.01, 0.99)
+            tol = 10.0 ** rng.uniform(-14.0, -6.0)
+            g, sign = _root_kind(kind, r, rng), rng.choice([-1.0, 1.0])
+            calls = []
+
+            def f(x):
+                calls.append(x)
+                return sign * g(x)
+
+            x = numerics._refine(f, a, b, f(a), f(b), tol)
+            d = tol + 2.0 * math.ulp(x)
+            lo, hi = f(x - d), f(x + d)
+            assert lo == 0.0 or hi == 0.0 or (lo > 0.0) != (hi > 0.0), (kind, a, b, r, tol, x)
+            # two ends, two probes, and at most twice the steps of bisection
+            assert len(calls) - 4 <= 2 * math.ceil(math.log2((b - a) / tol)), (kind, a, b, r, tol)
 
 
 class TestCentralDifference:

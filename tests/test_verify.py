@@ -262,7 +262,7 @@ class TestEquilibria:
             assert [eq.classification for eq in got] == [eq.classification for eq in unit], (b, s)
             for eq, want in zip(got, unit):
                 z = abs(want.x)
-                # either root is within its requested 1e-12 of the width plus find_root's floor
+                # either root is within its requested 1e-12 of the width plus the refiner's floor
                 # 4 eps |x| of a sign change of E', and the two E' differ by the rounding of z
                 bound = 2.0 * (1e-12 * (hi - lo) + 8.0 * U * (abs(b) / s + z)) + _dz(b, s, z)
                 assert abs((eq.x - b) / s - want.x) <= bound, (b, s)
@@ -275,7 +275,8 @@ EDGE_WIDTHS = (1.5e-154, 1e-150, 1e-120, 1e-110, 1e103, 1e104, 1e150)
 class TestNarrowWindows:
     """Families whose f' or f overflows or underflows at the scan's points although f'/f is representable.
 
-    E'' may overflow as well, to +-inf, where its sign alone gives the class. Arcsin's f' has
+    E'' may overflow as well, to +-inf, for a narrow window, and underflows to 0 for a window
+    wider than about 1e162, so the class is read from the E' samples without it. Arcsin's f' has
     ((x - a)(b - x))**1.5 below the line, which underflows or overflows for widths below about
     1e-104 or above about 1e103; its score is a difference of two quotients instead.
     """
@@ -285,7 +286,10 @@ class TestNarrowWindows:
         [("Exponential", 1e-200), ("Normal", 1e-160)]
         + [("Arcsin", w) for w in EDGE_WIDTHS]
         # Semicircle(b - s, b + s) has width 2 s
-        + [("Semicircle", w / 2.0) for w in EDGE_WIDTHS],
+        + [("Semicircle", w / 2.0) for w in EDGE_WIDTHS]
+        # Uniform(0, b), Normal(0, b/10) and Exponential(1/b), whose E'' underflows to 0
+        + [(name, b) for b in (1e165, 1e200, 1e300) for name in ("Uniform", "Exponential")]
+        + [("Normal", b / 10.0) for b in (1e165, 1e200, 1e300)],
     )
     def test_equilibrium_at_scaled_place(self, name, s):
         import warnings
@@ -321,6 +325,19 @@ class TestReports:
         for rep in run_suite("all"):
             got = rep.to_dict()
             assert got == asdict(rep) and got["details"] is not rep.details
+
+    def test_energy_derivative_calls_per_suite(self, monkeypatch):
+        # per family one scan call, the refining steps and one curvature call per root
+        calls = []
+        energy_prime = verify.total_energy_derivative
+
+        def counted(d, x):
+            calls.append(d)
+            return energy_prime(d, x)
+
+        monkeypatch.setattr(verify, "total_energy_derivative", counted)
+        verify._equilibrium_reports()
+        assert len(calls) <= 23
 
     def test_integrand_calls_per_suite(self, monkeypatch):
         # one call per refinement round of each of the six integrals; one per panel split made 70

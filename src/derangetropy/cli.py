@@ -21,7 +21,7 @@ from .distributions import Tabulated, from_spec
 from .errors import DerangetropyError, DomainError, ParseError
 from .functional import derangetropy_profile, energy_decomposition
 from .numerics import ABS_TOL
-from .recursion import ConvergenceMetrics, convergence_metrics, discretize, iterate
+from .recursion import ConvergenceMetrics, _grid, convergence_metrics, discretize, iterate
 from .verify import SUITES, run_suite
 
 _ENV_TOL = "DERANGETROPY_SEED_TOL"
@@ -83,9 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config_file(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"config {path!r} is not valid JSON: {exc}") from exc
@@ -170,11 +170,6 @@ def _render_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
-def _grid(d, cfg):
-    lo, hi = d.truncated_support(cfg["tail_eps"])
-    return np.linspace(lo, hi, cfg["points"])
-
-
 def _make_dist(cfg):
     d = from_spec(cfg["dist"])
     if isinstance(d, Tabulated):
@@ -186,14 +181,14 @@ def _make_dist(cfg):
 
 
 def _cmd_eval(d, cfg) -> str:
-    xs = _grid(d, cfg)
+    xs = _grid(d, cfg["points"], cfg["tail_eps"])
     f, F, rho = derangetropy_profile(d, xs)
     table = _table({"x": xs, "f": f, "F": F, "rho": rho}, cfg["format"])
     return _render_json(table) if cfg["format"] == "json" else table
 
 
 def _cmd_energy(d, cfg) -> str:
-    xs = _grid(d, cfg)
+    xs = _grid(d, cfg["points"], cfg["tail_eps"])
     e = energy_decomposition(d, xs)
     columns = {"x": xs, "e_oscillatory": e.e_oscillatory, "e_structural": e.e_structural, "e_total": e.e_total}
     table = _table(columns, cfg["format"])

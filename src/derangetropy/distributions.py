@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -208,7 +208,9 @@ class Normal(_Symmetric):
         return 0.5 * (1.0 + _erf(z))
 
     def _score(self, x):
-        return -((x - self.mu) / self.sigma) / self.sigma
+        # for sigma near 1e-308 the score passes the float range; inf keeps its sign, all a scan needs
+        with np.errstate(over="ignore"):
+            return -((x - self.mu) / self.sigma) / self.sigma
 
     def quantile(self, p):
         import statistics  # here, not at module level: it adds ~3 ms to `import derangetropy`
@@ -324,7 +326,8 @@ class Tabulated(Distribution):
         fs = np.asarray(fs, dtype=float)
         if xs.ndim != 1 or xs.shape != fs.shape or xs.size < 2:
             raise ParseError("tabulated density needs matching 1-d x and f arrays")
-        if np.any(np.diff(xs) <= 0.0):
+        # compared, not subtracted: the difference of two huge nodes may overflow
+        if np.any(xs[1:] <= xs[:-1]):
             raise NonMonotoneGrid("tabulated grid must be strictly increasing")
         if float(np.min(fs)) < -1e-10 * max(1.0, float(np.max(np.abs(fs)))):
             raise NegativeDensity(f"tabulated density has negative entries down to {float(np.min(fs))!r}")
@@ -369,7 +372,7 @@ def load_tabulated(path: str) -> Tabulated:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
     if not rows:
         raise ParseError(f"{path!r} is empty")
@@ -395,13 +398,7 @@ def load_tabulated(path: str) -> Tabulated:
     return Tabulated(xs, fs)
 
 
-_FAMILIES = {
-    "uniform": (Uniform, 2),
-    "normal": (Normal, 2),
-    "exponential": (Exponential, 1),
-    "semicircle": (Semicircle, 2),
-    "arcsin": (Arcsin, 2),
-}
+_FAMILIES = {cls.__name__.lower(): cls for cls in (Uniform, Normal, Exponential, Semicircle, Arcsin)}
 
 
 def from_spec(text: str) -> Distribution:
@@ -419,7 +416,8 @@ def from_spec(text: str) -> Distribution:
     if name not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES) + ["tabulated"])
         raise ParseError(f"unknown distribution {name!r}; known: {known}")
-    ctor, arity = _FAMILIES[name]
+    ctor = _FAMILIES[name]
+    arity = len(fields(ctor))
     if not sep or not rest.strip():
         raise ParseError(f"{name} spec needs {arity} comma-separated parameters")
     try:

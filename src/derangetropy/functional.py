@@ -173,7 +173,9 @@ def _log_slope(f: np.ndarray, F: np.ndarray, score: np.ndarray) -> np.ndarray:
 
     score is the family's f'/f, which stays finite where f' overflows or f underflows.
     """
-    return f * (np.pi * (np.cos(np.pi * F) / np.sin(np.pi * F)) + np.log(F / (1.0 - F))) + score
+    # on a window about 1e-306 wide f * cot(pi F) passes the float range; inf keeps the sign, all a scan needs
+    with np.errstate(over="ignore"):
+        return f * (np.pi * (np.cos(np.pi * F) / np.sin(np.pi * F)) + np.log(F / (1.0 - F))) + score
 
 
 def derangetropy_derivative(d: Distribution, x):

@@ -1,4 +1,4 @@
-"""Quadrature, root finding, finite differences, and sampled densities.
+"""Quadrature, root refinement, and sampled densities.
 
 Everything downstream (normalization checks, energy profiles, the recursion)
 runs through this module, so the routines here are deliberately conservative:
@@ -162,26 +162,28 @@ def _trapezoid(ys: np.ndarray | Callable, xs: np.ndarray, lo: int = 0, hi: int |
     """The package's one trapezoid rule over the grid xs, summing only the terms [lo, hi).
 
     ys is the integrand as an array, or as a function ys(s, e) that returns it
-    on nodes [s, e). The terms are formed a block at a time, spacings included,
-    each block is summed by np.sum and the block sums are added exactly by
-    math.fsum, so the rounding error is that of one block's sum plus one final
-    rounding, however long the grid (Higham, SIAM J. Sci. Comput. 14, 1993).
+    on nodes [s, e). Each term is _unit_density's step (y[i] + y[i + 1]) * (0.5 * dx),
+    halved before any sum, so every mass up to the float maximum is finite. The terms
+    are formed a block at a time, each block is summed by np.sum and the block sums
+    are added exactly by math.fsum, so the rounding error is that of one block's sum
+    plus one final rounding, however long the grid (Higham, SIAM J. Sci. Comput. 14, 1993).
     """
     n = xs.size - 1
     terms, spacings = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
     sums = []
-    # an overflow shows in the total, whose finiteness every caller checks
-    with np.errstate(over="ignore"):
+    # an overflow shows in the total, whose finiteness every caller checks, as does inf * (0.5 * 5e-324)
+    with np.errstate(over="ignore", invalid="ignore"):
         for s, e in _blocks(lo, n if hi is None else hi):
             y = ys(s, e + 1) if callable(ys) else ys[s : e + 1]
             t = np.add(y[1:], y[:-1], out=terms[: e - s])
-            t *= np.subtract(xs[s + 1 : e + 1], xs[s:e], out=spacings[: e - s])
+            dx = np.subtract(xs[s + 1 : e + 1], xs[s:e], out=spacings[: e - s])
+            t *= np.multiply(0.5, dx, out=dx)
             sums.append(float(t.sum()))
     try:
-        return math.fsum(sums) / 2.0
+        return math.fsum(sums)
     except (OverflowError, ValueError):
         # fsum refuses inf - inf and partial sums past the float range, where the plain sum is nan or inf
-        return sum(sums) / 2.0
+        return sum(sums)
 
 
 def _unit_density(
@@ -261,21 +263,3 @@ def _refine(f: Callable[[float], float], a: float, b: float, fa: float, fb: floa
         else:
             x3, f3, x2, f2, x1, f1 = x2, f2, x1, f1, xt, ft
 
-
-def central_difference(f: Callable, x, h: float):
-    """Symmetric first-derivative difference (f(x + h) - f(x - h)) / 2h.
-
-    x may be a point or an array of points: f is called once on x + h and
-    once on x - h, so it must accept whatever x is. Both samples are checked
-    to be finite before the difference is taken. A scalar x gives a float.
-    """
-    if not (h > 0.0 and math.isfinite(h)):
-        raise DomainError("step h must be positive and finite")
-    x = np.asarray(x, dtype=float)
-    samples = [np.asarray(f(x + h), dtype=float), np.asarray(f(x - h), dtype=float)]
-    for v in samples:
-        bad = np.broadcast_to(~np.isfinite(v), x.shape)
-        if bad.any():
-            raise NonFiniteSample(f"non-finite sample in central difference at x={x.item(int(np.argmax(bad)))!r}")
-    result = (samples[0] - samples[1]) / (2.0 * h)
-    return float(result) if x.ndim == 0 else result

@@ -69,7 +69,8 @@ class GridFunction:
         if abs(float(cdf[0])) > _MASS_TOL or abs(float(cdf[-1]) - 1.0) > _MASS_TOL:
             raise InvalidGrid("cdf must run from 0 to 1")
         mass = _trapezoid(density, xs)
-        if abs(mass - 1.0) > _MASS_TOL:
+        # written so that a NaN mass fails it too
+        if not abs(mass - 1.0) <= _MASS_TOL:
             raise InvalidGrid(f"density mass {mass!r} is not 1 within {_MASS_TOL}")
         if self.level < 0:
             raise InvalidGrid("level must be nonnegative")
@@ -94,6 +95,14 @@ class ConvergenceMetrics:
     central_mass: float
 
 
+def _grid(d: Distribution, n_points: int, tail_eps: float) -> np.ndarray:
+    """n_points equally spaced over d's working window; InvalidGrid where float spacing cannot resolve it."""
+    xs = np.linspace(*d.truncated_support(tail_eps), n_points)
+    if not (xs[1:] > xs[:-1]).all():
+        raise InvalidGrid("grid must be finite and strictly increasing")
+    return xs
+
+
 def discretize(d: Distribution, n_points: int, tail_eps: float) -> GridFunction:
     """Sample a distribution on a uniform grid over its central quantile range.
 
@@ -105,8 +114,7 @@ def discretize(d: Distribution, n_points: int, tail_eps: float) -> GridFunction:
         raise DomainError(f"n_points must be at least 101, got {n_points!r}")
     if not 0.0 < tail_eps < 0.1:
         raise DomainError(f"tail_eps must lie in (0, 0.1), got {tail_eps!r}")
-    lo, hi = d.truncated_support(tail_eps)
-    xs = np.linspace(lo, hi, n_points)
+    xs = _grid(d, n_points, tail_eps)
     # a copy, since _unit_density scales it in place
     density = np.array(d.pdf(xs), dtype=float)
     # comparisons with NaN are False, so this also rejects NaN

@@ -29,7 +29,7 @@ from .functional import (
     derangetropy_profile,
     total_energy_derivative,
 )
-from .numerics import ABS_TOL, _refine, central_difference, integrate
+from .numerics import ABS_TOL, _refine, integrate
 
 # target value of the appendix integral, pi*e/24 in double precision
 APPENDIX_CONSTANT = math.pi * math.e / 24.0
@@ -196,8 +196,8 @@ def verify_ode_uniform() -> VerificationReport:
     # on uniform(0,1), f = 1 and F = x: rho as a function of F is the kernel itself
     flat = Uniform(0.0, 1.0)
     rho = derangetropy_kernel(grid_f)
-    rho_prime = derangetropy_derivative(flat, grid_f)
-    rho_second = central_difference(lambda F: derangetropy_derivative(flat, F), grid_f, _ODE_FD_STEP)
+    below, rho_prime, above = derangetropy_derivative(flat, grid_f + _ODE_FD_STEP * np.array([[-1.0], [0.0], [1.0]]))
+    rho_second = (above - below) / (2.0 * _ODE_FD_STEP)
     L = np.arctanh(1.0 - 2.0 * grid_f)
     coeff = math.pi ** 2 - 1.0 / (grid_f * (1.0 - grid_f)) + 4.0 * L ** 2
     residual_field = rho_second + 4.0 * L * rho_prime + coeff * rho
@@ -286,36 +286,28 @@ def _equilibrium_reports() -> list[VerificationReport]:
     reports = []
 
     # symmetric members: the single interior equilibrium sits at the median
-    symmetric = (Uniform(0.0, 1.0), Normal(0.0, 1.0), Semicircle(-1.0, 1.0), Arcsin(0.0, 1.0))
-    found = {d: find_equilibria(d) for d in symmetric}
-    for d, eqs in found.items():
-        med = d.median()
-        if eqs:
-            nearest = min(eqs, key=lambda e: abs(e.x - med))
-            residual = abs(nearest.x - med)
+    nearest = {}
+    for d in (Uniform(0.0, 1.0), Normal(0.0, 1.0), Semicircle(-1.0, 1.0), Arcsin(0.0, 1.0)):
+        eqs, med = find_equilibria(d), d.median()
+        e = nearest[d] = min(eqs, key=lambda q: abs(q.x - med), default=None)
+        if e is not None:
+            residual = abs(e.x - med)
             details = {
-                "x": nearest.x,
+                "x": e.x,
                 "median": med,
-                "classification": nearest.classification,
-                "energy_second_derivative": nearest.energy_second_derivative,
+                "classification": e.classification,
+                "energy_second_derivative": e.energy_second_derivative,
                 "count": len(eqs),
             }
         else:
             residual = math.inf
             details = {"count": 0}
-        reports.append(
-            VerificationReport.build(
-                f"equilibrium_location:{_label(d)}",
-                residual=residual,
-                tolerance=1e-8,
-                **details,
-            )
-        )
+        name = f"equilibrium_location:{_label(d)}"
+        reports.append(VerificationReport.build(name, residual=residual, tolerance=1e-8, **details))
 
     # curvature at the uniform equilibrium has a closed form, pi^2 - 4
-    eqs = found[Uniform(0.0, 1.0)]
-    if eqs:
-        e = min(eqs, key=lambda q: abs(q.x - 0.5))
+    e = nearest[Uniform(0.0, 1.0)]
+    if e is not None:
         reports.append(
             VerificationReport.build(
                 "equilibrium_curvature:uniform(0.0,1.0)",

@@ -369,6 +369,26 @@ class TestConfigAndErrors:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["eval", "energy", "recurse"])
+    def test_window_the_float_spacing_cannot_resolve(self, capsys, command):
+        # floats near 1e16 are 2 apart, so 1,001 points over its 9.5-wide window repeat
+        code, out, err = _run(capsys, [command, "--dist", "normal:1e16,1", "--points", "1001"])
+        assert (code, out, err) == (3, "", "error: grid must be finite and strictly increasing\n")
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000], ids=["not-utf-8", "too-deep"])
+    def test_unreadable_config(self, capsys, tmp_path, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        code, out, err = _run(capsys, ["eval", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config {str(cfg)!r}: ") and err.count("\n") == 1
+
+    def test_config_with_byte_order_mark(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"points": 301}).encode())
+        code, out, _ = _run(capsys, ["eval", "--config", str(cfg)])
+        assert code == 0 and len(_csv_rows(out)[1]) == 301
+
     def test_window_of_huge_sigma(self, capsys):
         # the window is [mu -/+ 4.75 sigma]: finite for 1e307, its width overflows for 1e308
         code, out, _ = _run(capsys, ["eval", "--dist", "normal:0,1e307", "--points", "301"])
@@ -398,7 +418,7 @@ class TestConfigAndErrors:
         assert _run(capsys, ["eval", "--dist", f"tabulated:{marked}", "--points", "101"]) == expected
 
     def test_tabulated_mass_overflow(self, capsys, tmp_path):
-        # one block's sum of 16,384 terms of 2e305 overflows; numpy's warning must not reach stderr
+        # one block's sum of 16,384 terms of 1e305 overflows; numpy's warning must not reach stderr
         path = tmp_path / "t.csv"
         path.write_text("x,f\n" + "".join(f"{i},1e305\n" for i in range(20_001)))
         code, out, err = _run(capsys, ["eval", "--dist", f"tabulated:{path}"])

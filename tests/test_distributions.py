@@ -17,6 +17,7 @@ from derangetropy.distributions import (
 )
 from derangetropy.errors import (
     DomainError,
+    InvalidGrid,
     NegativeDensity,
     NonFiniteSample,
     NonMonotoneGrid,
@@ -550,6 +551,11 @@ class TestLoadTabulated:
         path.write_text("\n".join([header] + rows) + "\n")
         return path
 
+    def test_cell_past_the_csv_field_limit(self, tmp_path):
+        path = self._write(tmp_path, [f"{i},1" for i in range(8)] + ["8," + "1" * 140_000])
+        with pytest.raises(ParseError, match="field larger than field limit"):
+            load_tabulated(path)
+
     def test_flat_density(self, tmp_path):
         xs = np.linspace(0.0, 1.0, 1001)
         path = self._write(tmp_path, [f"{x:.17g},1.0" for x in xs])
@@ -668,6 +674,21 @@ class TestTabulatedQueries:
                 with pytest.raises(DomainError, match="f > 0"):
                     total_energy_derivative(d, x)
             assert d.score(0.75) == -4.0
+
+    def test_spacing_past_the_float_range(self):
+        # 2e308 between the first two nodes: the order check compares them, so no subtraction overflows
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGrid, match="mass inf"):
+                Tabulated([-1e308, 1e308, 1.1e308, 1.2e308], np.ones(4))
+
+    def test_mass_near_the_float_maximum(self):
+        # a mass of 9e307 is finite, although twice it, the unhalved trapezoid sum, is not
+        d = Tabulated(np.arange(10) * 1e307, np.ones(10))
+        assert d.normalization == 1.0 / 9e307
+        assert d.cdf(4.5e307) == pytest.approx(0.5, rel=1e-12)
 
     def test_vector_queries(self):
         d = self._triangle()

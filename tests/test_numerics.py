@@ -16,7 +16,6 @@ from derangetropy import Arcsin, Exponential, Normal, Semicircle, Uniform, deran
 from derangetropy.numerics import (
     _trapezoid,
     _unit_density,
-    central_difference,
     integrate,
 )
 from derangetropy.verify import find_equilibria
@@ -345,11 +344,18 @@ class TestUnitDensity:
             _unit_density(np.array(ys), np.array([0.0, 0.5, 1.0]))
 
     def test_mass_past_the_float_range(self):
-        # every block sum is finite, about 3.3e307, but eight of them overflow: math.fsum raises
-        # OverflowError there, and the rule must still report the mass as InvalidGrid
+        # every block sum is finite, about 1.6e308, but eight of them overflow: math.fsum raises
+        # OverflowError there, and the rule must still report the mass, 1.31e309, as InvalidGrid
         n = 8 * numerics._BLOCK + 1
         with pytest.raises(InvalidGrid, match="^sampled density has mass inf$"):
-            _unit_density(np.full(n, 1e303), np.arange(n, dtype=float))
+            _unit_density(np.full(n, 1e304), np.arange(n, dtype=float))
+
+    def test_mass_near_the_float_maximum(self):
+        # a tenth of the mass above, 1.31e308, is finite: each term is halved before any sum
+        n = 8 * numerics._BLOCK + 1
+        _, cdf, mass = _unit_density(np.full(n, 1e303), np.arange(n, dtype=float))
+        assert mass == pytest.approx(1.31072e308, rel=1e-12)
+        assert cdf[-1] == 1.0
 
     @given(st.lists(st.floats(0.0, 100.0, allow_nan=False), min_size=2, max_size=40))
     @settings(max_examples=60, deadline=None)
@@ -442,6 +448,17 @@ class TestTrapezoid:
                 for value in (_trapezoid(ys, xs), _trapezoid(ys, xs, a, z), _trapezoid(block_ys, xs, a, z)):
                     assert abs(value - exact) <= bound, (n, lo, hi)
                 assert all(a <= s < e <= z + 1 and e - s <= b + 1 for s, e in asked), (n, lo, hi)
+
+    def test_mass_up_to_the_float_maximum(self):
+        # nine terms of 1e307: their doubled sum 1.8e308 would overflow, the terms themselves do not
+        assert _trapezoid(np.ones(10), np.arange(10) * 1e307) == 9e307
+
+    def test_overflowing_sum_on_the_least_spacing(self):
+        # half of 5e-324 rounds to 0, and inf * 0 is nan: no warning, and the mass is refused
+        ys, xs = np.full(3, 1.7976931348623157e308), np.array([-5e-324, 0.0, 1.0])
+        assert math.isnan(_trapezoid(ys, xs))
+        with pytest.raises(InvalidGrid, match="^sampled density has mass nan$"):
+            _unit_density(ys, xs)
 
     @pytest.mark.parametrize("block", [128, None], ids=["block-128", "block-default"])
     def test_block_sums_added_exactly(self, block, monkeypatch):
@@ -541,32 +558,3 @@ class TestFindRoot:
             # two ends, two probes, and at most twice the steps of bisection
             assert len(calls) - 4 <= 2 * math.ceil(math.log2((b - a) / tol)), (kind, a, b, r, tol)
 
-
-class TestCentralDifference:
-    def test_first_order_square(self):
-        val = central_difference(lambda x: x * x, 1.0, 1e-6)
-        assert abs(val - 2.0) < 1e-9
-
-    def test_first_order_cubic(self):
-        val = central_difference(lambda x: x ** 3, 2.0, 1e-6)
-        assert abs(val - 12.0) < 1e-7
-
-    @pytest.mark.parametrize("h", [0.0, -1e-5])
-    def test_validation(self, h):
-        with pytest.raises(DomainError):
-            central_difference(lambda x: x, 0.0, h)
-
-    def test_non_finite(self):
-        with pytest.raises(NonFiniteSample):
-            central_difference(lambda x: math.inf, 0.0, 1e-5)
-
-    def test_array_matches_scalar_loop(self):
-        xs = np.linspace(-2.0, 3.0, 41)
-        got = central_difference(np.sin, xs, 1e-4)
-        assert got.shape == xs.shape
-        assert got.tolist() == [central_difference(np.sin, float(x), 1e-4) for x in xs]
-
-    def test_array_with_one_non_finite_sample(self):
-        xs = np.linspace(0.0, 1.0, 11)
-        with pytest.raises(NonFiniteSample, match="x=0.7"):
-            central_difference(lambda x: np.where(np.abs(x - 0.7) < 1e-3, np.inf, x), xs, 1e-4)

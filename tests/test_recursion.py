@@ -531,6 +531,13 @@ class TestGridFunctionValidation:
         with pytest.raises(InvalidGrid):
             bad.validate()
 
+    def test_nan_mass(self):
+        # the trapezoid mass of this level is nan (see numerics' least-spacing test), which must fail too
+        ys = np.full(3, 1.7976931348623157e308)
+        g = GridFunction(xs=np.array([-5e-324, 0.0, 1.0]), density=ys, cdf=np.array([0.0, 0.5, 1.0]), level=0)
+        with pytest.raises(InvalidGrid, match="mass nan"):
+            g.validate()
+
     def test_non_monotone_grid(self):
         g = self._flat()
         xs = g.xs.copy()

@@ -121,6 +121,18 @@ class TestOdeUniform:
         rep = verify_ode_uniform()
         assert abs(rep.details["pointwise_residual_near_center"]) < 1e-6
 
+    def test_one_derivative_call(self, monkeypatch):
+        # rho' at F and at F -+ step come from one call on a (3, n) array
+        calls = []
+
+        def counted(d, x):
+            calls.append(np.shape(x))
+            return derangetropy_derivative(d, x)
+
+        monkeypatch.setattr(verify, "derangetropy_derivative", counted)
+        assert verify_ode_uniform().passed
+        assert calls == [(3, verify._ODE_GRID_F.size)]
+
 
 # X -> sX + b for each zoo family, as a function of (b, s); the exponential has no location
 AFFINE = {
@@ -272,6 +284,16 @@ class TestEquilibria:
 EDGE_WIDTHS = (1.5e-154, 1e-150, 1e-120, 1e-110, 1e103, 1e104, 1e150)
 
 
+# windows about 1e-306 wide, or narrower: E' passes the float range at the scan's outer nodes
+PAST_THE_FLOAT_RANGE = [
+    ("Uniform", 1e-306),
+    ("Uniform", 1.7e-308),
+    ("Exponential", 1e-306),
+    ("Exponential", 1e-307),
+    ("Normal", 1e-308),
+]
+
+
 class TestNarrowWindows:
     """Families whose f' or f overflows or underflows at the scan's points although f'/f is representable.
 
@@ -289,7 +311,8 @@ class TestNarrowWindows:
         + [("Semicircle", w / 2.0) for w in EDGE_WIDTHS]
         # Uniform(0, b), Normal(0, b/10) and Exponential(1/b), whose E'' underflows to 0
         + [(name, b) for b in (1e165, 1e200, 1e300) for name in ("Uniform", "Exponential")]
-        + [("Normal", b / 10.0) for b in (1e165, 1e200, 1e300)],
+        + [("Normal", b / 10.0) for b in (1e165, 1e200, 1e300)]
+        + PAST_THE_FLOAT_RANGE,
     )
     def test_equilibrium_at_scaled_place(self, name, s):
         import warnings
@@ -303,6 +326,17 @@ class TestNarrowWindows:
         # the bound of TestEquilibria::test_classes_do_not_depend_on_scale at b = 0
         bound = 2.0 * (1e-12 * (hi - lo) + 8.0 * U * abs(want.x)) + _dz(0.0, s, abs(want.x))
         assert abs(got[0].x / s - want.x) <= bound
+
+    @pytest.mark.parametrize("name,s", PAST_THE_FLOAT_RANGE)
+    def test_curvature_past_the_float_range(self, name, s):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (eq,) = find_equilibria(AFFINE[name](0.0, s))
+        # E'' scales as 1/width**2, which is past the float range here; the class is read without it
+        assert eq.classification == "minimum"
+        assert eq.energy_second_derivative == math.inf
 
 
 class TestReports:

@@ -17,11 +17,11 @@ from dataclasses import fields
 
 import numpy as np
 
-from .distributions import Tabulated, from_spec
+from .distributions import Tabulated, _grid, from_spec
 from .errors import DerangetropyError, DomainError, ParseError
 from .functional import derangetropy_profile, energy_decomposition
 from .numerics import ABS_TOL
-from .recursion import ConvergenceMetrics, _grid, convergence_metrics, discretize, iterate
+from .recursion import ConvergenceMetrics, convergence_metrics, discretize, iterate
 from .verify import SUITES, run_suite
 
 _ENV_TOL = "DERANGETROPY_SEED_TOL"

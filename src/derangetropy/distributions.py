@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, NegativeDensity, NonFiniteSample, NonMonotoneGrid, ParseError
-from .numerics import _unit_density
+from .errors import DomainError, InvalidGrid, NegativeDensity, NonFiniteSample, NonMonotoneGrid, ParseError
+from .numerics import _increasing, _unit_density
 
 
 def _erf(z: np.ndarray) -> np.ndarray:
@@ -129,6 +129,14 @@ class Distribution(ABC):
         if not 0.0 < p < 1.0:
             raise DomainError(f"quantile needs 0 < p < 1, got {p!r}")
         return p
+
+
+def _grid(d: Distribution, n_points: int, tail_eps: float) -> np.ndarray:
+    """n_points equally spaced over d's working window; InvalidGrid where float spacing cannot resolve it."""
+    xs = np.linspace(*d.truncated_support(tail_eps), n_points)
+    if not _increasing(xs):
+        raise InvalidGrid("grid must be finite and strictly increasing")
+    return xs
 
 
 class _Symmetric(Distribution):
@@ -326,13 +334,12 @@ class Tabulated(Distribution):
         fs = np.asarray(fs, dtype=float)
         if xs.ndim != 1 or xs.shape != fs.shape or xs.size < 2:
             raise ParseError("tabulated density needs matching 1-d x and f arrays")
-        # compared, not subtracted: the difference of two huge nodes may overflow
-        if np.any(xs[1:] <= xs[:-1]):
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(fs))):
+            raise NonFiniteSample("tabulated grid or density contains non-finite entries")
+        if not _increasing(xs):
             raise NonMonotoneGrid("tabulated grid must be strictly increasing")
         if float(np.min(fs)) < -1e-10 * max(1.0, float(np.max(np.abs(fs)))):
             raise NegativeDensity(f"tabulated density has negative entries down to {float(np.min(fs))!r}")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(fs))):
-            raise NonFiniteSample("tabulated grid or density contains non-finite entries")
         self.fs, self._cdf_nodes, mass = _unit_density(np.maximum(fs, 0.0), xs)
         self.xs = xs
         self.normalization = 1.0 / mass
@@ -366,8 +373,8 @@ def load_tabulated(path: str) -> Tabulated:
 
     Extra columns are ignored, so output of the `eval` subcommand re-ingests
     directly, and a leading UTF-8 byte-order mark is skipped. Raises ParseError on
-    unreadable, non-UTF-8 or malformed text, NonMonotoneGrid on unsorted grids,
-    NegativeDensity on negative density values.
+    unreadable, non-UTF-8 or malformed text, NonFiniteSample on NaN or infinite
+    cells, NonMonotoneGrid on unsorted grids, NegativeDensity on negative densities.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -393,8 +400,6 @@ def load_tabulated(path: str) -> Tabulated:
             raise ParseError(f"{path!r} line {lineno}: {exc}") from None
     if len(xs) < 8:
         raise ParseError(f"{path!r} has {len(xs)} data rows; need at least 8")
-    if not all(math.isfinite(v) for v in xs) or not all(math.isfinite(v) for v in fs):
-        raise ParseError(f"{path!r} contains non-finite values")
     return Tabulated(xs, fs)
 
 

@@ -158,6 +158,13 @@ def _find(a: np.ndarray, test: Callable) -> int:
     return -1
 
 
+def _increasing(xs: np.ndarray) -> bool:
+    """The package's one grid test: finite ends and strictly increasing neighbours, compared, never subtracted."""
+    # a NaN fails its comparison and an infinity inside fails its neighbour's, so only the ends need their own check
+    ends = math.isfinite(xs[0]) and math.isfinite(xs[-1])
+    return ends and all((xs[s + 1 : e + 1] > xs[s:e]).all() for s, e in _blocks(0, xs.size - 1))
+
+
 def _trapezoid(ys: np.ndarray | Callable, xs: np.ndarray, lo: int = 0, hi: int | None = None) -> float:
     """The package's one trapezoid rule over the grid xs, summing only the terms [lo, hi).
 

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, _linear_cdf_quantile
+from .distributions import Distribution, _grid, _linear_cdf_quantile
 from .errors import DomainError, GridMismatch, InvalidGrid, NonFiniteSample
 from .functional import derangetropy_kernel
-from .numerics import _BLOCK, _blocks, _find, _trapezoid, _unit_density
+from .numerics import _BLOCK, _blocks, _find, _increasing, _trapezoid, _unit_density
 
 # slack on the unit-mass and cdf-range checks; renormalization makes the
 # stored arrays exact to rounding, so this only has to absorb float noise
@@ -53,10 +53,7 @@ class GridFunction:
             raise InvalidGrid("xs, density, cdf must be matching 1-d arrays")
         if xs.size < 2:
             raise InvalidGrid("grid needs at least two nodes")
-        # a NaN makes its block's least spacing NaN, which fails the comparison; an infinity
-        # inside the grid makes a spacing NaN or -inf, so only the ends need their own check
-        spacings_positive = all(np.diff(xs[s : e + 1]).min() > 0.0 for s, e in _blocks(0, xs.size - 1))
-        if not (spacings_positive and math.isfinite(xs[0]) and math.isfinite(xs[-1])):
+        if not _increasing(xs):
             raise InvalidGrid("grid must be finite and strictly increasing")
         # min and max carry any NaN or infinity
         bounds = (float(density.min()), float(density.max()), float(cdf.min()), float(cdf.max()))
@@ -93,14 +90,6 @@ class ConvergenceMetrics:
     variance: float
     iqr: float
     central_mass: float
-
-
-def _grid(d: Distribution, n_points: int, tail_eps: float) -> np.ndarray:
-    """n_points equally spaced over d's working window; InvalidGrid where float spacing cannot resolve it."""
-    xs = np.linspace(*d.truncated_support(tail_eps), n_points)
-    if not (xs[1:] > xs[:-1]).all():
-        raise InvalidGrid("grid must be finite and strictly increasing")
-    return xs
 
 
 def discretize(d: Distribution, n_points: int, tail_eps: float) -> GridFunction:

@@ -20,8 +20,9 @@ from .distributions import (
     Normal,
     Semicircle,
     Uniform,
+    _grid,
 )
-from .errors import DomainError, NonFiniteSample, SymmetryProbeFailed
+from .errors import DomainError, InvalidGrid, NonFiniteSample, SymmetryProbeFailed
 from .functional import (
     SCALE,
     derangetropy_derivative,
@@ -145,16 +146,16 @@ def verify_normalization(
 def verify_mode_at_median(d: Distribution, n_points: int = 10_000) -> VerificationReport:
     """Grid argmax of rho against the median, for symmetric unimodal input.
 
-    The grid spans [quantile(1e-9), quantile(1 - 1e-9)]. The symmetry probe
-    runs first: cdf(m-t) + cdf(m+t) must equal 1 to 1e-8 for a spread of
-    offsets t, otherwise the check refuses the input with SymmetryProbeFailed
-    instead of reporting a meaningless residual.
+    The grid is discretize's over [quantile(1e-9), quantile(1 - 1e-9)], InvalidGrid where
+    float spacing cannot resolve it. The symmetry probe runs first: cdf(m-t) + cdf(m+t) must
+    equal 1 to 1e-8 for a spread of offsets t, otherwise the check refuses the input with
+    SymmetryProbeFailed instead of reporting a meaningless residual.
     """
     if n_points < 101:
         raise DomainError(f"n_points must be at least 101, got {n_points!r}")
     m = d.median()
-    lo, hi = d.truncated_support(1e-9)
-    half = min(m - lo, hi - m)
+    xs = _grid(d, n_points, 1e-9)
+    half = min(m - float(xs[0]), float(xs[-1]) - m)
     offsets = np.linspace(0.05, 0.95, 13) * half
     probe = np.abs(np.asarray(d.cdf(m - offsets)) + np.asarray(d.cdf(m + offsets)) - 1.0)
     worst = float(np.max(probe))
@@ -162,7 +163,6 @@ def verify_mode_at_median(d: Distribution, n_points: int = 10_000) -> Verificati
         raise SymmetryProbeFailed(
             f"{_label(d)}: cdf(m-t)+cdf(m+t) deviates from 1 by {worst:.3e}"
         )
-    xs = np.linspace(lo, hi, n_points)
     _, _, rho = derangetropy_profile(d, xs)
     arg = float(xs[int(np.argmax(rho))])
     step = float(xs[1] - xs[0])
@@ -235,13 +235,12 @@ def find_equilibria(d: Distribution) -> list[Equilibrium]:
     the class nor the root's place in the window depends on the width in
     either direction.
     """
-    lo, hi = d.truncated_support(_SCAN_EPS)
-    width = hi - lo
+    xs = _grid(d, _N_BRACKETS + 1, _SCAN_EPS)
+    width = float(xs[-1] - xs[0])
     root_tol = 1e-12 * width
     fd_step = 1e-4 * width
 
     energy_prime = functools.partial(total_energy_derivative, d)
-    xs = np.linspace(lo, hi, _N_BRACKETS + 1)
     vals = total_energy_derivative(d, xs)
     roots = xs[vals == 0.0].tolist()
     for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0):
@@ -255,13 +254,15 @@ def find_equilibria(d: Distribution) -> list[Equilibrium]:
     out = []
     for r in merged:
         below, above = total_energy_derivative(d, np.array([r - fd_step, r + fd_step])).tolist()
+        step = (r + fd_step) - (r - fd_step)
+        if not step > 0.0:
+            raise InvalidGrid(f"x={r!r} +- {fd_step!r} round to one float, too close to resolve E''")
         if not (math.isfinite(below) and math.isfinite(above)):
             raise NonFiniteSample(f"E' is not finite within {fd_step!r} of x={r!r}")
-        # E'' scales as 1/width**2: it overflows to +-inf for Exponential(1e200) and underflows
-        # to 0 for Uniform(0, 1e200). The class is E'' * width**2 with fd_step = 1e-4 * width
-        # cancelled, a difference of E' (which scales as 1/width) times width, so it does neither
-        second = (above - below) / (2.0 * fd_step)
-        shape = (above - below) * width / 2e-4
+        # E'' over the spacing sampled (not 2 * fd_step far from 0) scales as 1/width**2, past the float range for
+        # Exponential(1e200) and Uniform(0, 1e200); the class E'' * width**2 is (above - below) * (width / step) * width
+        second = (above - below) / step
+        shape = (above - below) * (width / step) * width
         if shape > _CURVATURE_DEADBAND:
             kind = "minimum"
         elif shape < -_CURVATURE_DEADBAND:

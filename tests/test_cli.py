@@ -426,6 +426,15 @@ class TestConfigAndErrors:
         assert out == ""
         assert err == "error: sampled density has mass inf\n"
 
+    def test_tabulated_file_with_a_nan_cell(self, capsys, tmp_path):
+        # one finiteness check, Tabulated's, serves the loader and direct construction alike
+        path = tmp_path / "t.csv"
+        path.write_text("x,f\n" + "".join(f"{i},{'nan' if i == 4 else 1.0}\n" for i in range(9)))
+        code, out, err = _run(capsys, ["eval", "--dist", f"tabulated:{path}"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: tabulated grid or density contains non-finite entries\n"
+
     def test_recurse_with_non_finite_variance(self, capsys):
         # a 1.4e301-wide window: (x - mean)**2 overflows in the level-0 variance
         code, out, err = _run(capsys, ["recurse", "--dist", "exponential:1e-300", "--points", "101"])

@@ -385,6 +385,43 @@ def _np_sum_roundings(m):
     return math.ceil(math.log2(max(m, 1))) + 26
 
 
+class TestIncreasing:
+    """numerics._increasing, the package's one test that a grid is finite and strictly increasing."""
+
+    def test_subnormal_spacing(self):
+        assert numerics._increasing(np.array([0.0, 5e-324, 1e-323]))
+
+    @pytest.mark.parametrize(
+        "index, bad", [(2, math.nan), (0, -math.inf), (0, math.inf), (-1, math.inf), (-1, -math.inf)]
+    )
+    def test_non_finite_node(self, index, bad):
+        xs = np.linspace(0.0, 1.0, 5)
+        xs[index] = bad
+        assert not numerics._increasing(xs)
+
+    # 4 nodes a block: the pairs (3, 4) and (4, 5) are the last of one block and the first of the next
+    @pytest.mark.parametrize("i", [3, 4])
+    @pytest.mark.parametrize("kind", ["repeat", "descent"])
+    def test_fault_on_a_block_seam(self, kind, i, monkeypatch):
+        monkeypatch.setattr(numerics, "_BLOCK", 4)
+        xs = np.arange(12.0)
+        assert numerics._increasing(xs)
+        if kind == "repeat":
+            xs[i + 1] = xs[i]
+        else:
+            xs[i], xs[i + 1] = xs[i + 1], xs[i]
+        assert not numerics._increasing(xs)
+
+    def test_neighbours_past_the_float_range(self):
+        # 2e308 apart: compared, never subtracted, so nothing overflows
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert numerics._increasing(np.array([-1e308, 1e308]))
+            assert not numerics._increasing(np.array([1e308, -1e308]))
+
+
 class TestTrapezoid:
     """The one trapezoid rule against math.fsum over all of its terms, with the
     integrand given as an array and as a block function, and against np.trapezoid

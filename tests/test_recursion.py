@@ -538,6 +538,17 @@ class TestGridFunctionValidation:
         with pytest.raises(InvalidGrid, match="mass nan"):
             g.validate()
 
+    def test_spacing_past_the_float_range(self):
+        # nodes 2e308 apart: the grid test compares them, so validate reaches the mass, which is inf
+        import warnings
+
+        xs, cdf = np.array([-1e308, 1e308, 1.5e308]), np.array([0.0, 0.5, 1.0])
+        g = GridFunction(xs=xs, density=np.ones(3), cdf=cdf, level=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGrid, match="density mass inf"):
+                g.validate()
+
     def test_non_monotone_grid(self):
         g = self._flat()
         xs = g.xs.copy()

@@ -12,7 +12,7 @@ from derangetropy.distributions import (
     Semicircle,
     Uniform,
 )
-from derangetropy.errors import DomainError, SymmetryProbeFailed
+from derangetropy.errors import DomainError, InvalidGrid, SymmetryProbeFailed
 from derangetropy.functional import derangetropy_derivative, derangetropy_profile, energy_decomposition
 from derangetropy.verify import (
     APPENDIX_CONSTANT,
@@ -337,6 +337,33 @@ class TestNarrowWindows:
         # E'' scales as 1/width**2, which is past the float range here; the class is read without it
         assert eq.classification == "minimum"
         assert eq.energy_second_derivative == math.inf
+
+
+class TestShiftedWindows:
+    """Windows far from 0, where the float spacing is a visible share of the window, or coarser."""
+
+    # far from 0, x +- 1e-4 of the width round to other floats; E'' divides by the spacing they have
+    @pytest.mark.parametrize("b", [1e6, 1e10, 1e12])
+    @pytest.mark.parametrize(
+        "family", [lambda b: Uniform(b, b + 1.0), lambda b: Normal(b, 1.0)], ids=["Uniform", "Normal"]
+    )
+    def test_curvature_across_shifts(self, family, b):
+        (want,) = find_equilibria(family(0.0))
+        (got,) = find_equilibria(family(b))
+        assert got.classification == "minimum"
+        assert got.energy_second_derivative == pytest.approx(want.energy_second_derivative, rel=1e-6)
+
+    def test_curvature_past_the_spacing(self):
+        # 1e-4 of the width either side of 1e13 rounds to 1e13 itself
+        with pytest.raises(InvalidGrid, match="round to one float"):
+            find_equilibria(Normal(1e13, 1.0))
+
+    # the float spacing at 1e16 is 2: the scan and the mode grid would repeat nodes
+    @pytest.mark.parametrize("d", [Normal(1e16, 1.0), Uniform(1e16, 1e16 + 8.0)], ids=_ids)
+    @pytest.mark.parametrize("check", [find_equilibria, verify_mode_at_median], ids=lambda f: f.__name__)
+    def test_unresolvable_window(self, check, d):
+        with pytest.raises(InvalidGrid, match="^grid must be finite and strictly increasing$"):
+            check(d)
 
 
 class TestReports:

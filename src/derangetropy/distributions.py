@@ -208,8 +208,14 @@ class Normal(_Symmetric):
         return (-math.inf, math.inf)
 
     def _pdf(self, x):
-        z = (x - self.mu) / self.sigma
-        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+        # in place on one temporary, a numpy scalar for a 0-d x; -0.5 * (z * z) is -0.5 * z * z to the bit
+        z = x - self.mu
+        z /= self.sigma
+        z *= z
+        z *= -0.5
+        z = np.exp(z, out=z) if z.ndim else np.exp(z)
+        z /= self.sigma * math.sqrt(2.0 * math.pi)
+        return z
 
     def _cdf(self, x):
         z = (x - self.mu) / (self.sigma * math.sqrt(2.0))

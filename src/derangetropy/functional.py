@@ -54,18 +54,24 @@ class EnergyBreakdown:
         return self.e_total - (self.e_oscillatory + self.e_structural - self.constant_c)
 
 
-def _neg_entropy(F: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """F*log(F) + (1-F)*log(1-F), i.e. -H_B(F), element-wise for F in [0, 1], into out if given."""
-    out = np.subtract(1.0, F, out=np.empty_like(F) if out is None else out)
+def _neg_entropy(F: np.ndarray, q, out: np.ndarray | None = None) -> np.ndarray:
+    """F*log(F) + q*log(q) with q = 1 - F, i.e. -H_B(F), element-wise for F in [0, 1], into out if given."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        qlogq = np.log(out)
-        qlogq *= out
-        np.log(F, out=out)
+        out = np.log(F, out=np.empty_like(F) if out is None else out)
         out *= F
+        qlogq = np.log(q)
+        qlogq *= q
     out += qlogq
     # 0*log(0) is NaN only where F is 0 or 1, and no other sum is positive: fmin
     # writes the limit +0.0 there, mask-free, and leaves every other bit
     return np.fmin(out, 0.0, out=out)
+
+
+def _half_angle_tan(F: np.ndarray, q) -> np.ndarray:
+    """t = tan(pi*r/2) in [0, 1], r = min(F, q = 1 - F): sin(pi*F) = 2t/(1 + t*t), and cot(pi*F) = (1 - t*t)/(2t)
+    signed as 1/2 - F. r is exact (1 - F is for F >= 1/2) and the same for F and 1 - F. numpy's tangent is
+    vectorized on builds where its sine is not."""
+    return np.tan(np.minimum(F, q) * (0.5 * np.pi))
 
 
 def bernoulli_entropy(p):
@@ -77,32 +83,29 @@ def bernoulli_entropy(p):
     if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
         raise DomainError(f"bernoulli_entropy needs p in [0,1], got {p!r}")
     # 0.0 - x is -x bit for bit, except that it makes +0.0 of the +0.0 at p = 0 and p = 1
-    h = np.subtract(0.0, _neg_entropy(arr))
+    h = np.subtract(0.0, _neg_entropy(arr, 1.0 - arr))
     return float(h) if arr.ndim == 0 else h
 
 
 def derangetropy_kernel(F, out=None):
     """Density-free factor (24/(pi*e)) * sin(pi*F) * F^F * (1-F)^(1-F).
 
-    Multiplying a density f(x) by this factor evaluated at its own cdf gives
-    rho. Computed in log space as SCALE * sin(pi*F) * exp(-H_B(F)), sharing
-    -H_B with bernoulli_entropy: +0.0 at F = 0 and F = 1, and -0.0 at F = -0.0.
+    Multiplying a density f(x) by it at its own cdf gives rho. Computed as SCALE * sin(pi*F) * exp(-H_B(F)), with
+    -H_B shared with bernoulli_entropy and the sine from _half_angle_tan: K(1 - s) == K(s) to the bit where
+    1 - (1 - s) == s, +0.0 at F = 0 and 1, -0.0 at F = -0.0.
     Given out, a float array of F's shape sharing no memory with F, it writes the same bits there and returns out.
     derangetropy_gamma_form and the 50-digit mpmath test are its oracles.
     """
     arr = np.asarray(F, dtype=float)
     # comparisons with NaN are False, so this also rejects NaN
-    top = arr.max() if arr.size else 0.0
-    if arr.size and not (arr.min() >= 0.0 and top <= 1.0):
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise DomainError(f"kernel needs F in [0,1], got {F!r}")
-    val = _neg_entropy(arr, out)
-    np.exp(val, out=val)
-    # one temporary at a time, since fresh pages cost more than the arithmetic
-    osc = np.multiply(np.pi, arr, out=np.empty_like(arr))
-    val *= np.multiply(np.sin(osc, out=osc), SCALE, out=osc)
-    # sin(np.pi) is 1.2e-16, not 0; only a block that holds F = 1 pays for the write-back
-    if top == 1.0:
-        val[arr == 1.0] = 0.0
+    q = np.subtract(1.0, arr, out=np.empty_like(arr))
+    val = _neg_entropy(arr, q, out)
+    t = np.asarray(_half_angle_tan(arr, q))
+    np.multiply(np.exp(val, out=val), t, out=val)
+    val /= np.add(np.square(t, out=t), 1.0, out=t)
+    val *= 2.0 * SCALE
     return float(val) if arr.ndim == 0 else val
 
 
@@ -157,7 +160,7 @@ def derangetropy_gamma_form(d: Distribution, x: float) -> float:
 
 
 def _interior_point(d: Distribution, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f and F at x (scalar or array); DomainError unless every F is in (0,1) and every f > 0."""
+    """f and F at x, numpy scalars (cheaper arithmetic) for a 0-d x; DomainError unless all F in (0,1) and f > 0."""
     f = np.asarray(d.pdf(x), dtype=float)
     F = np.asarray(d.cdf(x), dtype=float)
     # comparisons with NaN are False, so NaN is rejected too
@@ -165,17 +168,20 @@ def _interior_point(d: Distribution, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     if not ok.all():
         i = int(np.argmin(ok))
         raise DomainError(f"needs F in (0,1) and f > 0, got F={F.item(i)!r}, f={f.item(i)!r} at x={x.item(i)!r}")
-    return f, F
+    return f[()], F[()]
 
 
 def _log_slope(f: np.ndarray, F: np.ndarray, score: np.ndarray) -> np.ndarray:
-    """rho'/rho = f*(pi*cot(pi*F) + log(F/(1-F))) + f'/f, element-wise, with cot(t) = cos(t)/sin(t).
+    """rho'/rho = f*(pi*cot(pi*F) + log(F/(1-F))) + f'/f, element-wise, cot from _half_angle_tan.
 
     score is the family's f'/f, which stays finite where f' overflows or f underflows.
     """
+    q = 1.0 - F
+    t = _half_angle_tan(F, q)
     # on a window about 1e-306 wide f * cot(pi F) passes the float range; inf keeps the sign, all a scan needs
     with np.errstate(over="ignore"):
-        return f * (np.pi * (np.cos(np.pi * F) / np.sin(np.pi * F)) + np.log(F / (1.0 - F))) + score
+        # pi*cot(pi*r) = pi/(2t) - pi*t/2 >= 0, and cot(pi*F) has the sign of 1/2 - F
+        return f * (np.copysign(0.5 * np.pi / t - 0.5 * np.pi * t, 0.5 - F) + np.log(F / q)) + score
 
 
 def derangetropy_derivative(d: Distribution, x):
@@ -218,7 +224,8 @@ def energy_decomposition(d: Distribution, x) -> EnergyBreakdown:
     """
     x = np.asarray(x, dtype=float)
     f, F = _interior_point(d, x)
-    parts = (-np.log(np.sin(np.pi * F)), bernoulli_entropy(F) - np.log(f), -np.log(derangetropy_kernel(F) * f))
+    t = _half_angle_tan(F, 1.0 - F)
+    parts = (-np.log(2.0 * t / (1.0 + t * t)), bernoulli_entropy(F) - np.log(f), -np.log(derangetropy_kernel(F) * f))
     if x.ndim == 0:
         parts = tuple(float(v) for v in parts)
     return EnergyBreakdown(*parts, constant_c=ENERGY_CONSTANT)

@@ -165,76 +165,69 @@ def _increasing(xs: np.ndarray) -> bool:
     return ends and all((xs[s + 1 : e + 1] > xs[s:e]).all() for s, e in _blocks(0, xs.size - 1))
 
 
-def _trapezoid(ys: np.ndarray | Callable, xs: np.ndarray, lo: int = 0, hi: int | None = None) -> float:
+def _trapezoid(ys: np.ndarray | Callable, xs: np.ndarray, lo: int = 0, hi: int | None = None, out=None):
     """The package's one trapezoid rule over the grid xs, summing only the terms [lo, hi).
 
-    ys is the integrand as an array, or as a function ys(s, e) that returns it
-    on nodes [s, e). Each term is _unit_density's step (y[i] + y[i + 1]) * (0.5 * dx),
-    halved before any sum, so every mass up to the float maximum is finite. The terms
-    are formed a block at a time, each block is summed by np.sum and the block sums
-    are added exactly by math.fsum, so the rounding error is that of one block's sum
-    plus one final rounding, however long the grid (Higham, SIAM J. Sci. Comput. 14, 1993).
+    ys is the integrand as an array, or as a function ys(s, e) that returns it on nodes [s, e), as one
+    row or as rows of several integrands, whose integrals come back as a tuple. Each term is (y[i] +
+    y[i + 1]) * (0.5 * dx), halved before any sum, so every mass up to the float maximum is finite; given
+    out, of the grid's size, term i of one integrand is left in out[i + 1]. The terms are formed a block
+    at a time, each block is summed by np.sum and the block sums are added exactly by math.fsum, so the
+    rounding error is one block sum's plus one rounding, however long the grid (Higham, SISC 14, 1993).
     """
     n = xs.size - 1
-    terms, spacings = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
-    sums = []
+    spacings, sums = np.empty(min(n, _BLOCK)), []
     # an overflow shows in the total, whose finiteness every caller checks, as does inf * (0.5 * 5e-324)
     with np.errstate(over="ignore", invalid="ignore"):
         for s, e in _blocks(lo, n if hi is None else hi):
             y = ys(s, e + 1) if callable(ys) else ys[s : e + 1]
-            t = np.add(y[1:], y[:-1], out=terms[: e - s])
+            t = np.add(y[..., 1:], y[..., :-1], out=None if out is None else out[s + 1 : e + 1])
             dx = np.subtract(xs[s + 1 : e + 1], xs[s:e], out=spacings[: e - s])
             t *= np.multiply(0.5, dx, out=dx)
-            sums.append(float(t.sum()))
-    try:
-        return math.fsum(sums)
-    except (OverflowError, ValueError):
-        # fsum refuses inf - inf and partial sums past the float range, where the plain sum is nan or inf
-        return sum(sums)
+            sums.append(t.sum(axis=-1))
+    totals = []
+    for row in np.atleast_2d(np.array(sums).T).tolist():
+        try:
+            totals.append(math.fsum(row))
+        except (OverflowError, ValueError):
+            # fsum refuses inf - inf and partial sums past the float range, where the plain sum is nan or inf
+            totals.append(sum(row))
+    return totals[0] if len(totals) == 1 else tuple(totals)
 
 
-def _unit_density(
-    ys: np.ndarray, xs: np.ndarray, lo: int = 0, hi: int | None = None
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _unit_density(ys: np.ndarray, xs: np.ndarray, lo: int = 0, hi: int | None = None):
     """Scale sampled density values ys on the grid xs, in place, to unit trapezoid mass.
 
-    Returns (density, cdf, mass): density is ys divided by its mass, and cdf is
-    its running trapezoid integral divided by its last value. ys must be
-    nonnegative on an increasing grid, so the steps are nonnegative, the running
-    sum never passes its last value, and cdf runs exactly from 0 to 1. InvalidGrid
-    unless the mass is positive and finite, at least n smallest normal numbers
-    for n nodes, and the scaled density's running integral is finite. So density
-    is finite with unit trapezoid mass to rounding: below that floor, terms
-    rounded as subnormals could leave it off by more. If ys is +0.0 outside nodes
-    [lo, hi), only those are scaled and summed; cdf is the one new grid-sized array.
+    Returns (density, cdf, mass): density is ys over its mass, and cdf the running sum of the
+    trapezoid terms, which _trapezoid leaves in it, over its last value. ys must be nonnegative
+    on an increasing grid, so cdf runs exactly from 0 to 1. InvalidGrid unless the mass is positive
+    and finite, at least n smallest normal numbers for n nodes, and the density's trapezoid terms
+    and the running sum are finite. So density is finite with unit trapezoid mass to rounding:
+    below that floor, terms rounded as subnormals could leave it off by more. If ys is +0.0
+    outside nodes [lo, hi), only those are scaled and summed; cdf is the one new grid-sized array.
     """
     n = ys.size
-    # the steps [a, b) are those that touch nodes [lo, hi): the others are +0.0
+    # the terms [a, b) are those that touch nodes [lo, hi): the others are +0.0
     # and add nothing, and nodes a and b, if outside, stay +0.0 when scaled
     a, b = max(lo - 1, 0), n - 1 if hi is None else min(hi, n - 1)
-    mass = _trapezoid(ys, xs, a, b)
+    cdf = np.empty(n)
+    cdf[: a + 1], cdf[b + 1 :] = 0.0, 1.0
+    mass = _trapezoid(ys, xs, a, b, out=cdf)  # cdf[k + 1] takes term k
     if not (mass > 0.0 and math.isfinite(mass)):
         raise InvalidGrid(f"sampled density has mass {mass!r}")
     if mass < n * _TINY:
         raise InvalidGrid(f"sampled density has mass {mass!r}, too small to scale to unit mass")
-    cdf = np.empty(n)
-    cdf[: a + 1] = 0.0
-    cdf[b + 1 :] = 1.0
-    spacings = np.empty(min(n, _BLOCK))
-    # an overflow shows in the total, which is checked next
-    with np.errstate(over="ignore", invalid="ignore"):
-        ys[a] /= mass
-        # cdf[k + 1] takes step k, then one sequential running sum adds steps a..k
-        for s, e in _blocks(a, b):
-            ys[s + 1 : e + 1] /= mass
-            steps = np.add(ys[s + 1 : e + 1], ys[s:e], out=cdf[s + 1 : e + 1])
-            dx = np.subtract(xs[s + 1 : e + 1], xs[s:e], out=spacings[: e - s])
-            steps *= np.multiply(0.5, dx, out=dx)
-        np.cumsum(cdf[a + 1 : b + 1], out=cdf[a + 1 : b + 1])
-    total = cdf[b]
-    if not math.isfinite(total):
-        raise InvalidGrid(f"sampled density of mass {mass!r} overflows when scaled to unit mass")
-    cdf[a + 1 : b + 1] /= total
+    try:
+        # the overflow flag checks these passes at no cost of its own
+        with np.errstate(over="raise"):
+            ys[a : b + 1] /= mass
+            np.cumsum(cdf[a + 1 : b + 1], out=cdf[a + 1 : b + 1])
+            # two scaled neighbours add past the float range only across a spacing below 2**-1023, within 5e-292 of 0
+            band = ys[max(int(np.searchsorted(xs, -5e-292)), a) : min(int(np.searchsorted(xs, 5e-292)), b + 1)]
+            np.add(band[1:], band[:-1])
+    except FloatingPointError:
+        raise InvalidGrid(f"sampled density of mass {mass!r} overflows when scaled to unit mass") from None
+    cdf[a + 1 : b + 1] /= cdf[b]
     return ys, cdf, mass
 
 

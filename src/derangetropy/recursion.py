@@ -127,9 +127,10 @@ def apply_derangetropy(g: GridFunction, *, _trusted: bool = False) -> GridFuncti
     # the cdf interior and one node past it on each side; outside [lo, hi) the kernel is zero
     lo = max(_find(F, lambda block: block > 0.0) - 1, 0)
     hi = min(n + 1 - _find(F[::-1], lambda block: block < 1.0), n)
-    density, clipped = np.zeros(n), np.empty(min(n, _BLOCK))
+    density, clipped = np.zeros(n), None if _trusted else np.empty(min(n, _BLOCK))
     for s, e in _blocks(lo, hi):
-        derangetropy_kernel(np.clip(F[s:e], 0.0, 1.0, out=clipped[: e - s]), out=density[s:e])
+        # a trusted cdf is in [0, 1] already (see iterate)
+        derangetropy_kernel(F[s:e] if _trusted else np.clip(F[s:e], 0.0, 1.0, out=clipped[: e - s]), out=density[s:e])
         density[s:e] *= g.density[s:e]
         if not _trusted:
             # -0.0 and the negative entries that validate tolerates become +0.0
@@ -146,9 +147,9 @@ def iterate(g0: GridFunction, n: int) -> list[GridFunction]:
     in between, and meets every check of validate by construction: its density
     is the kernel (at least +0.0) times a density with no sign bit, divided by
     a mass that _unit_density accepts only if the quotient is finite with unit
-    mass to rounding, and its cdf is a running sum of nonnegative steps divided
-    by its total, so it is nondecreasing from exactly 0 to exactly 1. So every
-    later step is trusted: it skips validate and the clamp.
+    mass to rounding, and its cdf is a running sum of nonnegative terms over its
+    last value, so it is nondecreasing from exactly 0 to exactly 1 with no clip.
+    So every later step is trusted: it skips validate, the clip and the clamp.
     """
     if n < 1:
         raise DomainError(f"n must be at least 1, got {n!r}")
@@ -175,15 +176,18 @@ def convergence_metrics(g: GridFunction, delta: float, center: float | None = No
     xs, density, n = g.xs, g.density, g.xs.size
     a = max(_find(density, lambda block: block != 0.0) - 1, 0)
     b = min(n - _find(density[::-1], lambda block: block != 0.0), n - 1)
-    y = np.empty(min(n, _BLOCK + 1))
+    y = np.empty((2, min(n, _BLOCK + 1)))
 
-    def centered(s, e):
-        d = np.subtract(xs[s:e], mean, out=y[: e - s])
-        return np.multiply(np.square(d, out=d), density[s:e], out=d)
+    def moments(s, e):
+        d = np.subtract(xs[s:e], med, out=y[1, : e - s])
+        d *= np.multiply(d, density[s:e], out=y[0, : e - s])
+        return y[:, : e - s]
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = _trapezoid(lambda s, e: np.multiply(xs[s:e], density[s:e], out=y[: e - s]), xs, a, b)
-        variance = _trapezoid(centered, xs, a, b)
+    # the median is within one standard deviation of the mean, so m2 - m1**2 cancels at most a bit
+    m1, m2 = _trapezoid(moments, xs, a, b)
+    mean = med + m1
+    # an infinite m2 is an infinite variance, whatever m1**2 overflows to
+    variance = m2 - m1 * m1 if m2 < math.inf else m2
     if not (math.isfinite(mean) and math.isfinite(variance)):
         raise NonFiniteSample(f"level {g.level} has mean {mean!r} and variance {variance!r}")
     iqr = g.quantile(0.75) - g.quantile(0.25)

@@ -236,7 +236,10 @@ def find_equilibria(d: Distribution) -> list[Equilibrium]:
     either direction.
     """
     xs = _grid(d, _N_BRACKETS + 1, _SCAN_EPS)
-    width = float(xs[-1] - xs[0])
+    (lo, hi), (x0, x1) = d.support(), xs[[0, -1]].tolist()
+    if not (lo < x0 and x1 < hi):  # as for Uniform(2e12, 2e12 + 1), whose a + 1e-4 rounds to a, where F = 0
+        raise InvalidGrid(f"scan window [{x0!r}, {x1!r}] rounds onto the support's ends ({lo!r}, {hi!r})")
+    width = x1 - x0
     root_tol = 1e-12 * width
     fd_step = 1e-4 * width
 

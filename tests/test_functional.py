@@ -124,30 +124,70 @@ class TestKernel:
         scale = mp.mpf(24) / (mp.pi * mp.e)
         rng = np.random.default_rng(20240923)
         ps = np.concatenate([[1e-300, 1e-17, 1e-9, 0.25, 0.5, 0.75, 0.999], rng.uniform(0.0, 0.999, 2000)])
-        got = derangetropy_kernel(ps)
-        worst = 0.0
-        for p, g in zip(ps.tolist(), got.tolist()):
-            F = mp.mpf(p)
-            ref = scale * mp.sin(mp.pi * F) * F**F * (1 - F) ** (1 - F)
-            worst = max(worst, float(abs((mp.mpf(g) - ref) / ref)))
-        assert worst <= 1e-13
+        # the upper tail, where sin(pi*F) loses F's last bits unless it is taken at 1 - F, which is exact there
+        upper = np.concatenate([1.0 - 2.0 ** -np.arange(1.0, 54.0), 1.0 - 10.0 ** -np.arange(1.0, 16.0)])
+        for grid in (ps, upper):
+            worst = 0.0
+            for p, g in zip(grid.tolist(), derangetropy_kernel(grid).tolist()):
+                F = mp.mpf(p)
+                ref = scale * mp.sin(mp.pi * F) * F**F * (1 - F) ** (1 - F)
+                worst = max(worst, float(abs((mp.mpf(g) - ref) / ref)))
+            # 5.1e-16 and 4.9e-16 seen: 1e-15 is a sixth of the 16 u of TestMaskFreeKernel's bound, plus a margin
+            assert worst <= 1e-15
+
+    def test_symmetric_to_the_bit_on_exact_complements(self):
+        # s = 1 - (1 - s) holds for 2**-k, k <= 53, and for most uniform draws: the kernel then takes
+        # the same r = min(F, 1 - F) and adds F log F and (1 - F) log(1 - F) in either order
+        s = np.concatenate([2.0 ** -np.arange(1.0, 54.0), np.random.default_rng(11).uniform(0.0, 1.0, 10_000)])
+        s = s[1.0 - (1.0 - s) == s]
+        assert s.size > 9_000
+        assert derangetropy_kernel(s).tobytes() == derangetropy_kernel(1.0 - s).tobytes()
 
 
 def _masked_kernel(F):
     """The kernel as tests/test_recursion.py::_whole_grid_step spells it: logs
-    masked to 0 where their argument is 0, then zeroed where F is not below 1."""
+    masked to 0 where their argument is 0, and np.sin at the reflected argument."""
     q = 1.0 - F
     log_psi = np.log(F, out=np.zeros_like(F), where=F > 0.0)
     log_psi *= F
     log_psi += q * np.log(q, out=np.zeros_like(q), where=q > 0.0)
-    density = SCALE * np.sin(np.pi * F)
+    density = SCALE * np.sin(np.pi * np.minimum(F, q))
     density *= np.exp(log_psi)
-    density *= F < 1.0
     return density
 
 
+# float64 unit roundoff, and the least subnormal: a rounding below the normal range is off by half of it at most
+U = 2.0**-53
+LEAST_SUBNORMAL = 5e-324
+
+
+def assert_kernel_near_masked(got, F):
+    """got, the kernel at F, against _masked_kernel(F).
+
+    Both take the same exp(-H_B) bits (the same logs and products, in the same
+    order). The kernel's sine is 2t/(1 + t*t) with t = tan(fl(fl(pi/2) r)): the
+    argument is off by 2 roundings, which tan's condition number 2x/sin(2x) <= pi/2
+    on [0, pi/4] turns into pi u; tan is within 1 ulp (2 u; numpy's float64 accuracy
+    tables), and (1 - t*t)/(1 + t*t) <= 1 passes t's error to the sine. The square,
+    the sum, the product with exp(-H_B), the quotient and the product with 2 SCALE
+    round 5 times: pi u + 2 u + 5 u. The oracle's np.sin(fl(pi) r) has 2 roundings in
+    its argument under condition x cot x <= 1, 1 ulp in sin, and 2 products: 6 u.
+    So the two are within 16.2 u of each other, gamma_17. Below the normal range each
+    rounding may instead be off by 2**-1075, carried on by at most 2 SCALE: 3 such in
+    the kernel (argument, product, quotient) and its last product, 2 SCALE*3 + 1, and
+    the oracle's argument, product and last product, SCALE + 2: (7 SCALE + 3) 2**-1075.
+    """
+    want = _masked_kernel(np.atleast_1d(np.asarray(F, dtype=float)))
+    got = np.atleast_1d(got)
+    bound = 17 * U / (1 - 17 * U) * np.abs(want) + (3.5 * SCALE + 1.5) * LEAST_SUBNORMAL
+    assert np.all(np.abs(got - want) <= bound)
+    # the zeros are exact, and keep their sign
+    assert np.signbit(got[want == 0.0]).tolist() == np.signbit(want[want == 0.0]).tolist()
+    assert np.all(got[want == 0.0] == 0.0)
+
+
 class TestMaskFreeKernel:
-    """The kernel's plain logs and end write-back give the masked formula's bits."""
+    """The kernel's plain logs give the masked formula's -H_B bits, and its half-angle sine is np.sin's to a bound."""
 
     ENDS = [0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0]
 
@@ -155,15 +195,15 @@ class TestMaskFreeKernel:
     def test_scalar_form(self, F):
         got = derangetropy_kernel(F)
         assert type(got) is float
-        assert np.float64(got).tobytes() == _masked_kernel(np.array([F])).tobytes()
+        assert_kernel_near_masked(got, F)
 
     def test_out_form_at_the_ends(self):
         F = np.array(self.ENDS)
         out = np.full(F.size, np.nan)
         assert derangetropy_kernel(F, out=out) is out
-        assert out.tobytes() == _masked_kernel(F).tobytes()
+        assert_kernel_near_masked(out, F)
         # the signed zeros survive: +0.0 at F = 0 and F = 1, -0.0 at F = -0.0
-        assert np.signbit(out[:2]).tolist() == [False, True] and not np.signbit(out[-1])
+        assert np.signbit(out[:2]).tolist() == [False, True] and out[-1] == 0.0 and not np.signbit(out[-1])
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_out_form_on_a_sorted_block(self, seed):
@@ -172,7 +212,7 @@ class TestMaskFreeKernel:
         F[:3], F[-3:] = 0.0, 1.0
         out = np.full(F.size, np.nan)
         derangetropy_kernel(F, out=out)
-        assert out.tobytes() == _masked_kernel(F).tobytes()
+        assert_kernel_near_masked(out, F)
         assert out.tobytes() == derangetropy_kernel(F).tobytes()
 
 

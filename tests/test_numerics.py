@@ -486,6 +486,24 @@ class TestTrapezoid:
                     assert abs(value - exact) <= bound, (n, lo, hi)
                 assert all(a <= s < e <= z + 1 and e - s <= b + 1 for s, e in asked), (n, lo, hi)
 
+    @pytest.mark.parametrize("block", [128, None], ids=["block-128", "block-default"])
+    def test_rows_and_terms(self, block, monkeypatch):
+        # two integrands as the rows of one block function give each one's integral to the bit,
+        # and out receives the terms that the mass sums, term i in out[i + 1]
+        if block:
+            monkeypatch.setattr(numerics, "_BLOCK", block)
+        rng = np.random.default_rng(5)
+        n = 3 * numerics._BLOCK + 7
+        xs = np.cumsum(rng.uniform(1e-3, 1.0, n))
+        rows = rng.standard_normal((2, n))
+        both = _trapezoid(lambda s, e: rows[:, s:e], xs, 2, n - 3)
+        assert both == (_trapezoid(rows[0], xs, 2, n - 3), _trapezoid(rows[1], xs, 2, n - 3))
+        out = np.full(n, np.nan)
+        assert _trapezoid(rows[0], xs, 2, n - 3, out=out) == both[0]
+        terms = (rows[0, 1:] + rows[0, :-1]) * (0.5 * np.diff(xs))
+        assert out[3 : n - 2].tobytes() == terms[2 : n - 3].tobytes()
+        assert np.isnan(out[:3]).all() and np.isnan(out[n - 2 :]).all()
+
     def test_mass_up_to_the_float_maximum(self):
         # nine terms of 1e307: their doubled sum 1.8e308 would overflow, the terms themselves do not
         assert _trapezoid(np.ones(10), np.arange(10) * 1e307) == 9e307

@@ -153,8 +153,15 @@ class TestSampledDensityRule:
                 [0.0, 0.0, 0.5, 1.0, 1.0],
                 r"sampled density of mass 1\.405\d*e-306 overflows when scaled to unit mass",
             ),
+            # nodes 4.4e-309 apart: each scaled value, 1.1e308, is finite, but two neighbours add to inf
+            (
+                [0.0, 1.0 / 3.0 / 7.5e307, 2.0 / 3.0 / 7.5e307, 1.0 / 7.5e307],
+                [7.5e307, 7.5e307, 7.5e307, 7.5e307],
+                [0.0, 0.25, 0.75, 1.0],
+                r"sampled density of mass 0\.75499\d* overflows when scaled to unit mass",
+            ),
         ],
-        ids=["tiny-mass", "subnormal-terms", "overflow"],
+        ids=["tiny-mass", "subnormal-terms", "overflow", "neighbour-overflow"],
     )
     def test_step_that_cannot_reach_unit_mass(self, xs, density, cdf, message):
         g = GridFunction(xs=np.array(xs), density=np.array(density), cdf=np.array(cdf), level=0)
@@ -261,7 +268,8 @@ class TestIterate:
 
 def _whole_grid_step(g):
     """apply_derangetropy as it was before it skipped the nodes outside its cdf
-    interior, kept as its oracle: every sum and the kernel run over the whole grid."""
+    interior, kept as its oracle: every sum and the kernel run over the whole grid,
+    the sine is np.sin at the reflected argument, and the cdf sums the scaled density's steps."""
     g.validate()
     dx = np.diff(g.xs)
     F = np.clip(g.cdf, 0.0, 1.0)
@@ -269,9 +277,8 @@ def _whole_grid_step(g):
     log_psi = np.log(F, out=np.zeros_like(F), where=F > 0.0)
     log_psi *= F
     log_psi += q * np.log(q, out=np.zeros_like(q), where=q > 0.0)
-    density = SCALE * np.sin(np.pi * F)
+    density = SCALE * np.sin(np.pi * np.minimum(F, q))
     density *= np.exp(log_psi)
-    density *= F < 1.0
     density *= g.density
     terms = density[1:] + density[:-1]
     terms *= dx
@@ -288,11 +295,12 @@ def _whole_grid_step(g):
 
 
 def _whole_grid_metrics(g, delta, center):
-    """convergence_metrics with its moments summed over the whole grid, as np.trapezoid does."""
+    """convergence_metrics with its moments about the mean summed over the whole grid, as np.trapezoid
+    does, and that mean."""
     m = convergence_metrics(g, delta, center)
     mean = float(np.trapezoid(g.xs * g.density, g.xs))
     variance = float(np.trapezoid((g.xs - mean) ** 2 * g.density, g.xs))
-    return dataclasses.replace(m, variance=max(variance, 0.0))
+    return dataclasses.replace(m, variance=max(variance, 0.0)), mean
 
 
 def _assert_same_bits(g, oracle):
@@ -302,8 +310,9 @@ def _assert_same_bits(g, oracle):
     assert repr(g.prenorm_mass) == repr(oracle.prenorm_mass)
 
 
-# float64 unit roundoff
+# float64 unit roundoff, and the least subnormal: a rounding below the normal range is off by half of it at most
 U = 2.0**-53
+LEAST_SUBNORMAL = 5e-324
 
 
 def _gamma(k):
@@ -314,41 +323,63 @@ def _gamma(k):
 def _assert_step_within_bound(g, prev):
     """g, the step from prev, against _whole_grid_step(prev).
 
-    Both form the same kernel products and the same nonnegative trapezoid terms,
-    up to the sign of a zero; they differ in how they add the terms. A sum of m
+    The kernels are within gamma_17 of each other (tests/test_functional.py::
+    assert_kernel_near_masked), plus 12 least subnormals where F is subnormal; there the
+    density is at most 2F/dx, since the cdf holds its term, which shrinks that part far
+    below one least subnormal on these grids. So the products with the density, one
+    rounding each, are within gamma_19, and the nonnegative trapezoid terms, two
+    roundings more each, within gamma_23. A sum of m
     nonnegative terms in any order is within gamma_{m-1} of the exact one, and the
     block sums' fsum adds one rounding, so with n nodes and b a block the masses are
-    within gamma_{n-2} + gamma_b of each other, at most gamma_{n+b}. The densities
-    are the same products over the two masses, one rounding each. The cdfs are
-    running sums (gamma_{n-2} at most) of steps that take two roundings from the
-    densities, each over its last sum.
+    within gamma_{n+b+23} of each other. The densities are the products over the two
+    masses, one rounding each: gamma_{n+b+45}. The step's cdf is the running sum
+    (gamma_{n-2} at most) of the terms of the products, over its last sum; the
+    oracle's is that of steps taking two roundings from its densities, each over its
+    last sum. The constant factor 1/mass cancels in the quotient, so the terms differ
+    by gamma_{23+4} in ratio, and with the four running sums and two quotients the
+    cdfs are within 2 gamma_{2n+27} + 2 u, at most 2 gamma_{3n+b+27} + 2 u.
+
+    Below the normal range a rounding is off by up to half the least subnormal
+    instead. A density value takes two such, a product and a quotient by the mass:
+    (1 + 1/mass) least subnormals for the two sides. A cdf node adds up to n terms,
+    each with two such on each side (its product with half the spacing, and the
+    density values it adds, carried by at most half the spacing), and one quotient:
+    at most 2 n (1 + max dx) least subnormals.
     """
     oracle, n, b = _whole_grid_step(prev), prev.xs.size, numerics._BLOCK
-    mass = _gamma(n + b)
-    density = _gamma(n + b + 3)
-    cdf = 2.0 * _gamma(3 * n + b + 10) + 2.0 * U
+    mass = _gamma(n + b + 23)
+    density = _gamma(n + b + 45)
+    cdf = 2.0 * _gamma(3 * n + b + 27) + 2.0 * U
+    subnormal_density = (1.0 + 1.0 / oracle.prenorm_mass) * LEAST_SUBNORMAL
+    subnormal_cdf = 2.0 * n * (1.0 + float(np.diff(prev.xs).max())) * LEAST_SUBNORMAL
     assert g.level == oracle.level
     assert abs(g.prenorm_mass - oracle.prenorm_mass) <= mass * oracle.prenorm_mass
-    assert np.all(np.abs(g.density - oracle.density) <= density * np.abs(oracle.density))
-    assert np.all(np.abs(g.cdf - oracle.cdf) <= cdf * oracle.cdf)
+    assert np.all(np.abs(g.density - oracle.density) <= density * np.abs(oracle.density) + subnormal_density)
+    assert np.all(np.abs(g.cdf - oracle.cdf) <= cdf * oracle.cdf + subnormal_cdf)
 
 
 def _assert_metrics_within_bound(g, delta, center):
     """convergence_metrics against _whole_grid_metrics on the same level.
 
     The median, iqr and central mass read only the cdf, so they agree exactly.
-    The moments sum terms of at most 6 roundings each, in the two orders of
-    _assert_step_within_bound, so with eps = gamma_{n+b+6} a mean is within
-    eps * max|x| of the exact one, and a variance within eps of the one about the
-    mean it used. About a mean off by dm
-    the variance moves by dm**2 times the unit mass, not by dm: its first-order
-    change is zero.
+    The oracle sums terms of at most 6 roundings each (2 in the integrand, 1 in
+    x - mean, 3 in the trapezoid term) in the order of _assert_step_within_bound:
+    with eps = gamma_{n+b+7} a mean is within eps * max|x| of the exact one, and a
+    variance within eps of the one about the mean it used; about a mean off by dm the
+    variance moves by dm**2 times the unit mass, not by dm: its first-order change is
+    zero. convergence_metrics sums m1 = (x - med) f and m2 = (x - med)**2 f terms of
+    at most 7 roundings each, so m2 is within eps of its exact value and m1 within eps
+    of the integral A1 of |x - med| f, which is at most sqrt(m2) for a unit mass;
+    m2 - m1**2 is then off by eps m2 + 2 eps |m1| A1 + u, at most 3 eps m2 + u, and
+    m2 = variance + m1**2, with m1 the mean less the median.
     """
-    m, o = convergence_metrics(g, delta, center), _whole_grid_metrics(g, delta, center)
+    m, (o, mean) = convergence_metrics(g, delta, center), _whole_grid_metrics(g, delta, center)
     assert dataclasses.replace(m, variance=o.variance) == o
-    eps = _gamma(g.xs.size + numerics._BLOCK + 6)
+    eps = _gamma(g.xs.size + numerics._BLOCK + 7)
     x = float(np.abs(g.xs).max())
-    assert abs(m.variance - o.variance) <= 2.0 * eps * (m.variance + o.variance) + 2.0 * (2.0 * eps * x) ** 2
+    m1 = mean - m.median
+    bound = 3.0 * eps * (m.variance + o.variance + 2.0 * m1 * m1) + 2.0 * (2.0 * eps * x) ** 2
+    assert abs(m.variance - o.variance) <= bound
 
 
 def _hand_built(**edits):

@@ -358,6 +358,13 @@ class TestShiftedWindows:
         with pytest.raises(InvalidGrid, match="round to one float"):
             find_equilibria(Normal(1e13, 1.0))
 
+    # from 2**41 (2.2e12) a + 1e-4 rounds to a, so the scan window's ends are the support's, where F is 0
+    # and 1 (DomainError before); at 1e15 the 65 scan nodes cannot be told apart either
+    @pytest.mark.parametrize("b", [2e12, 3e12, 1e15])
+    def test_window_on_the_support_ends(self, b):
+        with pytest.raises(InvalidGrid, match="^(scan window .* rounds onto the support's ends .*|grid must be .*)$"):
+            find_equilibria(Uniform(b, b + 1.0))
+
     # the float spacing at 1e16 is 2: the scan and the mode grid would repeat nodes
     @pytest.mark.parametrize("d", [Normal(1e16, 1.0), Uniform(1e16, 1e16 + 8.0)], ids=_ids)
     @pytest.mark.parametrize("check", [find_equilibria, verify_mode_at_median], ids=lambda f: f.__name__)

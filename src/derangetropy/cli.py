@@ -14,13 +14,14 @@ import math
 import os
 import sys
 from dataclasses import fields
+from itertools import chain
 
 import numpy as np
 
 from .distributions import Tabulated, _grid, from_spec
 from .errors import DerangetropyError, DomainError, ParseError
 from .functional import derangetropy_profile, energy_decomposition
-from .numerics import ABS_TOL
+from .numerics import ABS_TOL, _blocks
 from .recursion import ConvergenceMetrics, convergence_metrics, discretize, iterate
 from .verify import SUITES, run_suite
 
@@ -153,49 +154,46 @@ def _abs_tol_from_env() -> float:
     return tol
 
 
-def _table(columns: dict, fmt: str):
-    """One table from named equal-length columns: CSV text, or for JSON the row objects.
+def _table(parts, fmt: str, indent: str = ""):
+    """CSV, or a JSON array of row objects nested at indent, from dicts of the same named columns, one after another.
 
-    Each column goes through .tolist() once, so every cell is a Python float
-    or int and prints as its shortest round-trip repr in either format.
+    A block of rows at a time, each column goes through .tolist() once, so a cell is a Python float or int, whose
+    str is its shortest repr, and each row through one %s template, laid out for JSON as json.dumps(indent=2) would.
+    A JSON column with a non-finite value in a block takes its cells there from json.dumps, which writes Infinity
+    and NaN. The last line is left open.
     """
-    names = list(columns)
-    rows = zip(*(np.asarray(col).tolist() for col in columns.values()))
+    names = list(parts[0])
     if fmt == "json":
-        return [dict(zip(names, row)) for row in rows]
-    return "\n".join([",".join(names), *(",".join(map(repr, row)) for row in rows)]) + "\n"
+        keys = ",\n".join(f"{indent}    {json.dumps(name)}: %s" for name in names)
+        head, row, sep, tail = "[", f"\n{indent}  {{\n{keys}\n{indent}  }}", ",", f"\n{indent}]"
+    else:
+        head, row, sep, tail = ",".join(names), "\n" + ",".join(["%s"] * len(names)), "", ""
+    yield head
+    lead = ""
+    for part in parts:
+        columns = [np.asarray(col) for col in part.values()]
+        for s, e in _blocks(0, len(columns[0])):
+            block = [col[s:e] for col in columns]
+            cells = [c.tolist() if fmt == "csv" or np.isfinite(c).all() else map(json.dumps, c.tolist()) for c in block]
+            yield lead + sep.join(map(row.__mod__, zip(*cells)))
+            lead = sep
+    yield tail
 
 
-def _render_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
-
-
-def _make_dist(cfg):
-    d = from_spec(cfg["dist"])
-    if isinstance(d, Tabulated):
-        print(
-            f"note: tabulated density renormalized by factor {d.normalization!r}",
-            file=sys.stderr,
-        )
-    return d
-
-
-def _cmd_eval(d, cfg) -> str:
+def _cmd_eval(d, cfg):
     xs = _grid(d, cfg["points"], cfg["tail_eps"])
     f, F, rho = derangetropy_profile(d, xs)
-    table = _table({"x": xs, "f": f, "F": F, "rho": rho}, cfg["format"])
-    return _render_json(table) if cfg["format"] == "json" else table
+    return _table([{"x": xs, "f": f, "F": F, "rho": rho}], cfg["format"])
 
 
-def _cmd_energy(d, cfg) -> str:
+def _cmd_energy(d, cfg):
     xs = _grid(d, cfg["points"], cfg["tail_eps"])
     e = energy_decomposition(d, xs)
     columns = {"x": xs, "e_oscillatory": e.e_oscillatory, "e_structural": e.e_structural, "e_total": e.e_total}
-    table = _table(columns, cfg["format"])
-    return _render_json(table) if cfg["format"] == "json" else table
+    return _table([columns], cfg["format"])
 
 
-def _cmd_recurse(d, cfg) -> str:
+def _cmd_recurse(d, cfg):
     g0 = discretize(d, cfg["points"], cfg["tail_eps"])
     levels = iterate(g0, cfg["levels"])
     span = float(g0.xs[-1] - g0.xs[0])
@@ -211,33 +209,29 @@ def _cmd_recurse(d, cfg) -> str:
                 file=sys.stderr,
             )
 
-    grids = {
-        "x": np.concatenate([g.xs for g in levels]),
-        "density": np.concatenate([g.density for g in levels]),
-        "cdf": np.concatenate([g.cdf for g in levels]),
-        "level": np.repeat([g.level for g in levels], [g.xs.size for g in levels]),
-    }
-    grid_table = _table(grids, cfg["format"])
+    # each level is one part of the grid table, its level column a broadcast view that holds no memory
+    grids = [dict(x=g.xs, density=g.density, cdf=g.cdf, level=np.broadcast_to(g.level, g.xs.size)) for g in levels]
     metric_columns = {f.name: [getattr(m, f.name) for m in metrics] for f in fields(ConvergenceMetrics)}
-    metric_table = _table(metric_columns, cfg["format"])
+    grid_table, metric_table = _table(grids, cfg["format"], "  "), _table([metric_columns], cfg["format"], "  ")
     if cfg["format"] == "json":
-        return _render_json({"grids": grid_table, "metrics": metric_table})
-    return grid_table + "\n" + metric_table
+        return chain(['{\n  "grids": '], grid_table, [',\n  "metrics": '], metric_table, ["\n}"])
+    return chain(grid_table, ["\n\n"], metric_table)
 
 
-def _cmd_verify(cfg, abs_tol: float) -> tuple[str, int]:
+def _cmd_verify(cfg, abs_tol: float):
     reports = run_suite(cfg["suite"], abs_tol)
-    text = _render_json([r.to_dict() for r in reports])
     code = 0 if all(r.passed for r in reports) else 1
-    return text, code
+    return [json.dumps([r.to_dict() for r in reports], indent=2)], code
 
 
-def _write(text: str, out_path: str | None) -> None:
+def _write(blocks, out_path: str | None) -> None:
+    """Write the blocks of text in turn, and end the last line."""
+    blocks = chain(blocks, ["\n"])
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
         with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
 
 
 def main(argv=None) -> int:
@@ -254,29 +248,31 @@ def main(argv=None) -> int:
         if args.command == "verify":
             abs_tol = _abs_tol_from_env()
         else:
-            d = _make_dist(cfg)
+            d = from_spec(cfg["dist"])
+            if isinstance(d, Tabulated):
+                print(f"note: tabulated density renormalized by factor {d.normalization!r}", file=sys.stderr)
     except DerangetropyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    # every command computes in full before its blocks are rendered and written, and rendering raises no
+    # DerangetropyError, so an exit 3 from the computation comes before the first byte of output
     try:
         if args.command == "eval":
-            text, code = _cmd_eval(d, cfg), 0
+            blocks, code = _cmd_eval(d, cfg), 0
         elif args.command == "energy":
-            text, code = _cmd_energy(d, cfg), 0
+            blocks, code = _cmd_energy(d, cfg), 0
         elif args.command == "recurse":
-            text, code = _cmd_recurse(d, cfg), 0
+            blocks, code = _cmd_recurse(d, cfg), 0
         else:
-            text, code = _cmd_verify(cfg, abs_tol)
+            blocks, code = _cmd_verify(cfg, abs_tol)
+        _write(blocks, cfg["out"])
     except DerangetropyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
-
-    try:
-        _write(text, cfg["out"])
     except OSError as exc:
         print(f"error: cannot write {cfg['out']!r}: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import DomainError
+from .numerics import _TINY
 
 # leading constant of the functional and its log, double precision
 SCALE = 24.0 / (math.pi * math.e)
@@ -225,7 +226,9 @@ def energy_decomposition(d: Distribution, x) -> EnergyBreakdown:
     x = np.asarray(x, dtype=float)
     f, F = _interior_point(d, x)
     t = _half_angle_tan(F, 1.0 - F)
-    parts = (-np.log(2.0 * t / (1.0 + t * t)), bernoulli_entropy(F) - np.log(f), -np.log(derangetropy_kernel(F) * f))
+    e_osc, e_str, rho = -np.log(2.0 * t / (1.0 + t * t)), bernoulli_entropy(F) - np.log(f), derangetropy_kernel(F) * f
+    # below the normal range K*f has lost its relative precision, or is 0, where its log is still e_osc + e_str - C
+    parts = (e_osc, e_str, np.where(rho < _TINY, e_osc + e_str - ENERGY_CONSTANT, -np.log(np.maximum(rho, _TINY))))
     if x.ndim == 0:
         parts = tuple(float(v) for v in parts)
     return EnergyBreakdown(*parts, constant_c=ENERGY_CONSTANT)

@@ -1,11 +1,17 @@
 import json
 import math
+import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import cli_cases
-from derangetropy.cli import _render_json, _table, main
+from derangetropy import cli, numerics
+from derangetropy.cli import _build_parser, _resolve, _table, main
+from derangetropy.distributions import _grid, from_spec
+from derangetropy.functional import derangetropy_profile, energy_decomposition
+from derangetropy.recursion import ConvergenceMetrics, convergence_metrics, discretize, iterate
 
 RHO_FLAT_CENTER = 1.4051959565836603
 
@@ -14,6 +20,50 @@ def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _text(parts, fmt, indent=""):
+    """A table's text as _write ends it."""
+    return "".join(_table(parts, fmt, indent)) + "\n"
+
+
+def _whole_table(columns, fmt):
+    """The rendering the streamed tables are held to: every row built at once, CSV by a join per row."""
+    names = list(columns)
+    rows = zip(*(np.asarray(col).tolist() for col in columns.values()))
+    if fmt == "json":
+        return [dict(zip(names, row)) for row in rows]
+    return "\n".join([",".join(names), *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
+def _whole_output(argv):
+    """A table command's stdout through _whole_table, with json.dumps(indent=2) for JSON, from the library."""
+    cfg = _resolve(_build_parser().parse_args(argv))
+    d, fmt = from_spec(cfg["dist"]), cfg["format"]
+    if argv[0] == "recurse":
+        levels = iterate(discretize(d, cfg["points"], cfg["tail_eps"]), cfg["levels"])
+        delta = 0.05 * float(levels[0].xs[-1] - levels[0].xs[0])
+        metrics = [convergence_metrics(g, delta, center=levels[0].median()) for g in levels]
+        grids = _whole_table({
+            "x": np.concatenate([g.xs for g in levels]),
+            "density": np.concatenate([g.density for g in levels]),
+            "cdf": np.concatenate([g.cdf for g in levels]),
+            "level": np.repeat([g.level for g in levels], [g.xs.size for g in levels]),
+        }, fmt)
+        metric_columns = {f.name: [getattr(m, f.name) for m in metrics] for f in fields(ConvergenceMetrics)}
+        metric_table = _whole_table(metric_columns, fmt)
+        if fmt == "json":
+            return json.dumps({"grids": grids, "metrics": metric_table}, indent=2) + "\n"
+        return grids + "\n" + metric_table
+    xs = _grid(d, cfg["points"], cfg["tail_eps"])
+    if argv[0] == "eval":
+        f, F, rho = derangetropy_profile(d, xs)
+        columns = {"x": xs, "f": f, "F": F, "rho": rho}
+    else:
+        e = energy_decomposition(d, xs)
+        columns = {"x": xs, "e_oscillatory": e.e_oscillatory, "e_structural": e.e_structural, "e_total": e.e_total}
+    table = _whole_table(columns, fmt)
+    return json.dumps(table, indent=2) + "\n" if fmt == "json" else table
 
 
 def _csv_rows(text):
@@ -464,6 +514,31 @@ class TestConfigAndErrors:
         assert code == 2
         assert err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses writes")
+    def test_write_failure_after_open(self, capsys):
+        # the file opens, and the write fails once the buffer is flushed
+        code, out, err = _run(capsys, ["eval", "--dist", "uniform:0,1", "--points", "301", "--out", "/dev/full"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write '/dev/full': ") and err.count("\n") == 1
+
+    def test_compute_error_with_out_creates_no_file(self, capsys, tmp_path):
+        path = tmp_path / "r.csv"
+        argv = ["recurse", "--dist", "exponential:1e-300", "--points", "101", "--out", str(path)]
+        code, out, err = _run(capsys, argv)
+        assert code == 3 and out == "" and err.startswith("error: level 0 ")
+        assert not path.exists()
+
+    def test_out_of_memory_while_rendering(self, capsys, monkeypatch):
+        def blocks(lo, hi):
+            yield lo, lo + 3
+            raise MemoryError("while rendering")
+
+        monkeypatch.setattr(cli, "_blocks", blocks)
+        code, out, err = _run(capsys, ["eval", "--dist", "uniform:0,1", "--points", "301"])
+        # the output stops after the rows already written
+        assert code == 3 and out.startswith("x,f,F,rho\n") and out.count("\n") == 3
+        assert err == "error: out of memory: while rendering\n"
+
 
 class TestRoundTrip:
     def test_eval_output_reloads_as_tabulated(self, capsys, tmp_path):
@@ -492,12 +567,41 @@ class TestTable:
     COLUMNS = {"x": np.array([-0.0, 5e-324, 0.1, 1e16]), "k": np.array([0, 1, -2, 3])}
 
     def test_csv_cells_are_shortest_repr(self):
-        assert _table(self.COLUMNS, "csv") == "x,k\n-0.0,0\n5e-324,1\n0.1,-2\n1e+16,3\n"
+        assert _text([self.COLUMNS], "csv") == "x,k\n-0.0,0\n5e-324,1\n0.1,-2\n1e+16,3\n"
 
     def test_json_rows(self):
         rows = [("-0.0", "0"), ("5e-324", "1"), ("0.1", "-2"), ("1e+16", "3")]
         expected = ",\n".join(f'  {{\n    "x": {x},\n    "k": {k}\n  }}' for x, k in rows)
-        assert _render_json(_table(self.COLUMNS, "json")) == "[\n" + expected + "\n]\n"
+        assert _text([self.COLUMNS], "json") == "[\n" + expected + "\n]\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cells_across_block_and_part_seams(self, monkeypatch, fmt):
+        # blocks of 3 rows: the non-finite cells fill the second block of each part, and the first and third have none
+        monkeypatch.setattr(numerics, "_BLOCK", 3)
+        part = {"x": np.array([-0.0, 5e-324, 1e16, np.inf, -np.inf, np.nan, 0.1]), "k": np.arange(7) - 3}
+        whole = _whole_table({name: np.concatenate([col, col]) for name, col in part.items()}, fmt)
+        if fmt == "csv":
+            assert _text([part, part], fmt) == whole
+        else:
+            assert _text([part, part], fmt) == json.dumps(whole, indent=2) + "\n"
+            nested = '{\n  "t": ' + "".join(_table([part, part], fmt, "  ")) + "\n}"
+            assert nested == json.dumps({"t": whole}, indent=2)
+
+    @pytest.mark.parametrize("block", [3, numerics._BLOCK])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--dist", "normal:0,1", "--points", "101"],
+        # f is inf at x = 0
+        ["eval", "--dist", "arcsin:0,1", "--tail-eps", "1e-300", "--points", "101"],
+        ["energy", "--dist", "semicircle:-1,1", "--points", "101"],
+        ["recurse", "--dist", "normal:1,2", "--points", "101", "--levels", "2"],
+    ], ids=" ".join)
+    def test_commands_match_the_whole_table_route(self, capsys, monkeypatch, argv, fmt, block):
+        monkeypatch.setattr(numerics, "_BLOCK", block)
+        argv = argv + ["--format", fmt]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert out == _whole_output(argv)
 
     def test_recurse_csv_cells_equal_json_values(self, capsys):
         argv = ["recurse", "--dist", "normal:0,1", "--points", "301", "--levels", "2"]

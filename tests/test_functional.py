@@ -380,6 +380,19 @@ class TestEnergyDecomposition:
         _, _, rho = derangetropy_profile(d, xs)
         assert np.array_equal(energy_decomposition(d, xs).e_total, -np.log(rho))
 
+    def test_total_where_rho_underflows(self):
+        # K*f underflows to 0 at x = 1e-10, or to a subnormal along the grid, while its log stays representable
+        d = Exponential(1e-300)
+        e = energy_decomposition(d, 1e-10)
+        assert e.e_total == pytest.approx(1402.39885289602, rel=1e-13) and e.identity_residual() == 0.0
+        xs = np.linspace(*d.truncated_support(1e-16), 101)
+        e = energy_decomposition(d, xs)
+        _, _, rho = derangetropy_profile(d, xs)
+        low = rho < np.finfo(float).tiny
+        assert low.any() and not low.all() and np.isfinite(e.e_total).all()
+        assert np.array_equal(e.e_total[~low], -np.log(rho[~low]))
+        assert np.array_equal(e.e_total[low], e.e_oscillatory[low] + e.e_structural[low] - e.constant_c)
+
     @pytest.mark.parametrize("x", [0.0, 1.0, -0.5])
     def test_rejects_zero_density_points(self, x):
         with pytest.raises(DomainError):

@@ -88,7 +88,9 @@ class Distribution(ABC):
 
     def _pdf_derivative(self, x: np.ndarray) -> np.ndarray:
         """f' on a float array strictly inside the support; overridden where f may be 0 there."""
-        return self._score(x) * self._pdf(x)
+        # past the float range, as for Arcsin(0, 1) at 1e-300, inf of the product's sign is f' rounded
+        with np.errstate(over="ignore"):
+            return self._score(x) * self._pdf(x)
 
     def pdf_derivative(self, x):
         """f'(x) strictly inside the support; DomainError at or beyond the boundary, infinite ends included."""

@@ -170,10 +170,12 @@ def _trapezoid(ys: np.ndarray | Callable, xs: np.ndarray, lo: int = 0, hi: int |
 
     ys is the integrand as an array, or as a function ys(s, e) that returns it on nodes [s, e), as one
     row or as rows of several integrands, whose integrals come back as a tuple. Each term is (y[i] +
-    y[i + 1]) * (0.5 * dx), halved before any sum, so every mass up to the float maximum is finite; given
-    out, of the grid's size, term i of one integrand is left in out[i + 1]. The terms are formed a block
-    at a time, each block is summed by np.sum and the block sums are added exactly by math.fsum, so the
-    rounding error is one block sum's plus one rounding, however long the grid (Higham, SISC 14, 1993).
+    y[i + 1]) * (0.5 * dx): the spacing is halved, but the neighbours are added first, so two that add
+    past the float maximum, as two of 9e307 do, make the term and the total inf even where the term
+    itself is finite. Given out, of the grid's size, term i of one integrand is left in out[i + 1]. The
+    terms are formed a block at a time, each block is summed by np.sum and the block sums are added
+    exactly by math.fsum, so the rounding error is one block sum's plus one rounding, however long the
+    grid (Higham, SISC 14, 1993).
     """
     n = xs.size - 1
     spacings, sums = np.empty(min(n, _BLOCK)), []

@@ -38,9 +38,6 @@ APPENDIX_CONSTANT = math.pi * math.e / 24.0
 # curvature of the total energy at the uniform equilibrium, pi^2 - 4
 UNIFORM_EQUILIBRIUM_CURVATURE = math.pi ** 2 - 4.0
 
-# names run_suite accepts
-SUITES = ("all", "normalization", "appendix", "mode", "ode", "equilibrium")
-
 # classifications with |second derivative| * width**2 below this are reported as degenerate
 _CURVATURE_DEADBAND = 1e-6
 
@@ -228,12 +225,13 @@ def find_equilibria(d: Distribution) -> list[Equilibrium]:
 
     The derivative of the total energy is evaluated analytically as
     -rho'/rho; the scan covers [quantile(_SCAN_EPS), quantile(1-_SCAN_EPS)]
-    with _N_BRACKETS intervals. Each sign change is refined to 1e-12 of the
-    scan width by Chandrupatla's method from the scan's own values at the
-    bracket ends, and classified by E_total'' times width**2, formed from one
-    call's two samples of E' 1e-4 of the width either side, so that neither
-    the class nor the root's place in the window depends on the width in
-    either direction.
+    with _N_BRACKETS intervals. Each bracket whose end values do not share a
+    sign is refined to 1e-12 of the scan width by Chandrupatla's method from
+    the scan's own values at its ends, which returns an end where E' is 0
+    unsampled; the merge keeps one of the two brackets' roots at such a node.
+    A root is classified by E_total'' times width**2, formed from one call's
+    two samples of E' 1e-4 of the width either side, so that neither the class
+    nor the root's place in the window depends on the width in either direction.
     """
     xs = _grid(d, _N_BRACKETS + 1, _SCAN_EPS)
     (lo, hi), (x0, x1) = d.support(), xs[[0, -1]].tolist()
@@ -245,9 +243,10 @@ def find_equilibria(d: Distribution) -> list[Equilibrium]:
 
     energy_prime = functools.partial(total_energy_derivative, d)
     vals = total_energy_derivative(d, xs)
-    roots = xs[vals == 0.0].tolist()
-    for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0):
-        roots.append(_refine(energy_prime, *xs[i : i + 2].tolist(), *vals[i : i + 2].tolist(), root_tol))
+    roots = [
+        _refine(energy_prime, *xs[i : i + 2].tolist(), *vals[i : i + 2].tolist(), root_tol)
+        for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0.0)
+    ]
 
     merged: list[float] = []
     for r in sorted(roots):
@@ -274,16 +273,6 @@ def find_equilibria(d: Distribution) -> list[Equilibrium]:
             kind = "degenerate"
         out.append(Equilibrium(x=r, energy_second_derivative=second, classification=kind))
     return out
-
-
-def _zoo():
-    return [
-        Uniform(0.0, 1.0),
-        Normal(0.0, 1.0),
-        Exponential(1.0),
-        Semicircle(-1.0, 1.0),
-        Arcsin(0.0, 1.0),
-    ]
 
 
 def _equilibrium_reports() -> list[VerificationReport]:
@@ -338,21 +327,24 @@ def _equilibrium_reports() -> list[VerificationReport]:
     return reports
 
 
+# each suite's reports for the quadrature tolerance tol, in the order `all` runs them
+_SUITES = {
+    "appendix": lambda tol: [verify_appendix_constant(tol)],
+    "normalization": lambda tol: [
+        verify_normalization(d, tol)
+        for d in (Uniform(0.0, 1.0), Normal(0.0, 1.0), Exponential(1.0), Semicircle(-1.0, 1.0), Arcsin(0.0, 1.0))
+    ],
+    "mode": lambda _: [verify_mode_at_median(d) for d in (Uniform(0.0, 1.0), Normal(0.0, 1.0), Semicircle(-1.0, 1.0))],
+    "ode": lambda _: [verify_ode_uniform()],
+    "equilibrium": lambda _: _equilibrium_reports(),
+}
+
+# names run_suite accepts
+SUITES = ("all", *_SUITES)
+
+
 def run_suite(suite: str, abs_tol: float = ABS_TOL) -> list[VerificationReport]:
     """Run one named verification suite (or `all`) and return its reports."""
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
-    reports: list[VerificationReport] = []
-    if suite in ("all", "appendix"):
-        reports.append(verify_appendix_constant(abs_tol))
-    if suite in ("all", "normalization"):
-        for d in _zoo():
-            reports.append(verify_normalization(d, abs_tol))
-    if suite in ("all", "mode"):
-        for d in (Uniform(0.0, 1.0), Normal(0.0, 1.0), Semicircle(-1.0, 1.0)):
-            reports.append(verify_mode_at_median(d))
-    if suite in ("all", "ode"):
-        reports.append(verify_ode_uniform())
-    if suite in ("all", "equilibrium"):
-        reports.extend(_equilibrium_reports())
-    return reports
+    return [r for name, reports in _SUITES.items() if suite in ("all", name) for r in reports(abs_tol)]

@@ -302,6 +302,13 @@ class TestVerify:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("raw", ["0", "inf"])
+    def test_env_var_not_positive_finite(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("DERANGETROPY_SEED_TOL", raw)
+        code, out, err = _run(capsys, ["verify", "--suite", "appendix"])
+        assert (code, out) == (2, "")
+        assert err == f"error: DERANGETROPY_SEED_TOL must be a positive finite number, got {raw!r}\n"
+
 
 class TestConfigAndErrors:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
@@ -432,6 +439,13 @@ class TestConfigAndErrors:
         code, out, err = _run(capsys, ["eval", "--config", str(cfg)])
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot read config {str(cfg)!r}: ") and err.count("\n") == 1
+
+    def test_config_not_json(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("points = 301\n")
+        code, out, err = _run(capsys, ["verify", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config {str(cfg)!r} is not valid JSON: ") and err.count("\n") == 1
 
     def test_config_with_byte_order_mark(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -218,6 +218,23 @@ class TestDerivativeAgainstFiniteDifference:
         # f' overflows in the first two cases and f underflows to 0 in the last, where f'/f reads nan
         assert d.score(x) == want
 
+    @pytest.mark.parametrize(
+        "d,x,want",
+        [
+            (Arcsin(0.0, 1.0), 1e-300, -math.inf),
+            (Exponential(1e160), 1e-170, -math.inf),
+            (Normal(0.0, 1e-160), 1e-160, -math.inf),
+            (Normal(0.0, 1e-160), -1e-160, math.inf),
+        ],
+    )
+    def test_pdf_derivative_past_the_float_range(self, d, x, want):
+        # |f'| is about 1.6e449, 1e320 and 2.4e319 here: inf of its sign is its rounding, and no overflow warning
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.pdf_derivative(x) == want
+
 
 class _Minimal(Distribution):
     """A family that writes only what the base class asks for: f = 2x on [0, 1]."""
@@ -535,6 +552,10 @@ class TestFromSpec:
         with pytest.raises(ParseError):
             from_spec(text)
 
+    def test_tabulated_without_path(self):
+        with pytest.raises(ParseError, match="^tabulated spec needs a file path"):
+            from_spec("tabulated:")
+
     def test_tabulated_route(self, tmp_path):
         path = tmp_path / "flat.csv"
         xs = np.linspace(0.0, 1.0, 101)
@@ -622,6 +643,18 @@ class TestLoadTabulated:
         with pytest.raises(ParseError):
             load_tabulated(tmp_path / "nope.csv")
 
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("")
+        with pytest.raises(ParseError, match="is empty$"):
+            load_tabulated(path)
+
+    def test_blank_rows_skipped(self, tmp_path):
+        rows = [f"{x!r},{1.0 + x!r}" for x in np.linspace(0.0, 1.0, 9).tolist()]
+        spaced = rows[:3] + ["", " , "] + rows[3:] + [""]
+        a, b = load_tabulated(self._write(tmp_path, rows)), load_tabulated(self._write(tmp_path, spaced))
+        assert b.xs.tobytes() == a.xs.tobytes() and b.fs.tobytes() == a.fs.tobytes()
+
     def test_byte_order_mark(self, tmp_path):
         # spreadsheet "CSV UTF-8" exports start with one; it must not reach the header cell
         text = "x,f\n" + "".join(f"{x!r},{1.0 + x * x!r}\n" for x in np.linspace(0.0, 1.0, 101).tolist())
@@ -634,6 +667,11 @@ class TestLoadTabulated:
 
 
 class TestTabulatedQueries:
+    @pytest.mark.parametrize("xs, fs", [(np.arange(9.0), np.ones(8)), (np.arange(9.0), np.ones((9, 1)))])
+    def test_mismatched_arrays(self, xs, fs):
+        with pytest.raises(ParseError, match="^tabulated density needs matching 1-d x and f arrays$"):
+            Tabulated(xs, fs)
+
     def _triangle(self):
         xs = np.linspace(0.0, 2.0, 201)
         ys = np.where(xs <= 1.0, xs, 2.0 - xs)

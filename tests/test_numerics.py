@@ -49,6 +49,10 @@ class TestIntegrate:
     def test_constant(self):
         assert abs(integrate(lambda x: np.ones_like(x), 0.0, 1.0) - 1.0) < 1e-12
 
+    def test_scalar_integrand(self):
+        # a float back for an array of nodes is not an array of their values: the nodes go one at a time
+        assert integrate(lambda x: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+
     def test_linear(self):
         assert abs(integrate(lambda x: 2.0 * x, 0.0, 1.0) - 1.0) < 1e-12
 

@@ -598,8 +598,38 @@ class TestGridFunctionValidation:
         g = self._flat()
         cdf = g.cdf.copy()
         cdf[-1] = 0.9
-        with pytest.raises(InvalidGrid):
+        # the drop onto the last node is what validate meets first
+        with pytest.raises(InvalidGrid, match="^cdf must be nondecreasing$"):
             dataclasses.replace(g, cdf=cdf).validate()
+
+    # nondecreasing, but ending at 0.9 or starting at 1e-6
+    @pytest.mark.parametrize("spoil", [lambda cdf: cdf * 0.9, lambda cdf: np.maximum(cdf, 1e-6)], ids=["end", "start"])
+    def test_cdf_must_run_from_zero_to_one(self, spoil):
+        g = self._flat()
+        with pytest.raises(InvalidGrid, match="^cdf must run from 0 to 1$"):
+            dataclasses.replace(g, cdf=spoil(g.cdf)).validate()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(cdf=np.linspace(0.0, 1.0, 3)), "^xs, density, cdf must be matching 1-d arrays$"),
+            (dict(xs=np.zeros(1), density=np.zeros(1), cdf=np.zeros(1)), "^grid needs at least two nodes$"),
+            (dict(level=-1), "^level must be nonnegative$"),
+        ],
+        ids=["shapes", "one node", "level"],
+    )
+    def test_other_invariants(self, change, message):
+        with pytest.raises(InvalidGrid, match=message):
+            dataclasses.replace(self._flat(), **change).validate()
+
+    @pytest.mark.parametrize("field", ["density", "cdf"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values(self, field, bad):
+        g = self._flat()
+        values = getattr(g, field).copy()
+        values[100] = bad
+        with pytest.raises(InvalidGrid, match="^density or cdf contains non-finite values$"):
+            dataclasses.replace(g, **{field: values}).validate()
 
     # a NaN fails every comparison, and an infinite end leaves every spacing positive
     @pytest.mark.parametrize("index, bad", [(50, math.nan), (-1, math.inf), (0, -math.inf)])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from derangetropy.distributions import (
     Exponential,
     Normal,
     Semicircle,
+    Tabulated,
     Uniform,
 )
-from derangetropy.errors import DomainError, InvalidGrid, SymmetryProbeFailed
+from derangetropy.errors import DomainError, InvalidGrid, NonFiniteSample, SymmetryProbeFailed
 from derangetropy.functional import derangetropy_derivative, derangetropy_profile, energy_decomposition
 from derangetropy.verify import (
     APPENDIX_CONSTANT,
@@ -101,6 +103,10 @@ class TestModeAtMedian:
     def test_grid_size_control(self):
         rep = verify_mode_at_median(Uniform(0.0, 1.0), n_points=2_000)
         assert rep.passed
+
+    def test_grid_too_coarse(self):
+        with pytest.raises(DomainError, match="^n_points must be at least 101, got 100$"):
+            verify_mode_at_median(Uniform(0.0, 1.0), n_points=100)
 
 
 class TestOdeUniform:
@@ -294,6 +300,62 @@ PAST_THE_FLOAT_RANGE = [
 ]
 
 
+def _scan(d):
+    """The nodes of find_equilibria's scan of d."""
+    return verify._grid(d, verify._N_BRACKETS + 1, verify._SCAN_EPS)
+
+
+class TestZeroAtScanNodes:
+    """E' that is exactly 0 at scan nodes: such a node ends brackets whose refinement returns it unsampled."""
+
+    @pytest.mark.parametrize("d", [Uniform(0.0, 1.0), Normal(0.0, 1.0)], ids=_ids)
+    # the node at the median, one other interior node, two adjacent ones, either end, and two far apart
+    @pytest.mark.parametrize("nodes", [(32,), (10,), (20, 21), (0,), (64,), (5, 50)], ids=str)
+    def test_each_node_is_one_root(self, monkeypatch, d, nodes):
+        unpatched = find_equilibria(d)
+        zeros = _scan(d)[list(nodes)]
+        energy_prime = verify.total_energy_derivative
+
+        def vanishing(d, x):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.isin(x, zeros), 0.0, energy_prime(d, x))
+
+        monkeypatch.setattr(verify, "total_energy_derivative", vanishing)
+        got = find_equilibria(d)
+        # E' rises across the whole scan, so every root is a minimum, as is the median's without the patch
+        assert [eq.x for eq in got] == sorted(set(zeros.tolist()) | {eq.x for eq in unpatched})
+        assert [eq.classification for eq in got] == ["minimum"] * len(got)
+
+    def test_non_finite_beside_a_root(self, monkeypatch):
+        d = Uniform(0.0, 1.0)
+        root = float(_scan(d)[20])
+
+        def energy_prime(d, x):
+            # 0 at the node, and nan within 1e-3 of it: no other node is as near, but both points the class samples are
+            return np.where((x != root) & (np.abs(x - root) < 1e-3), np.nan, x - root)
+
+        monkeypatch.setattr(verify, "total_energy_derivative", energy_prime)
+        with pytest.raises(NonFiniteSample, match="^E' is not finite within .* of x=" + re.escape(repr(root))):
+            find_equilibria(d)
+
+    def test_flat_root_is_degenerate(self, monkeypatch):
+        # E' = (x - 0.3)**3 has E'' = 0 at its root, between nodes
+        monkeypatch.setattr(verify, "total_energy_derivative", lambda d, x: (np.asarray(x) - 0.3) ** 3)
+        (eq,) = find_equilibria(Uniform(0.0, 1.0))
+        assert eq.x == pytest.approx(0.3, abs=1e-4)
+        assert eq.classification == "degenerate"
+
+    def test_reports_without_equilibria(self, monkeypatch):
+        monkeypatch.setattr(verify, "find_equilibria", lambda d: [])
+        reports = verify._equilibrium_reports()
+        assert [r.check_name.partition(":")[0] for r in reports] == ["equilibrium_location"] * 4 + [
+            "equilibrium_self_consistency"
+        ]
+        for r in reports:
+            assert r.residual == math.inf and not r.passed
+            assert r.details == {"count": 0}
+
+
 class TestNarrowWindows:
     """Families whose f' or f overflows or underflows at the scan's points although f'/f is representable.
 
@@ -442,6 +504,17 @@ class TestRunSuite:
     def test_unknown_suite(self):
         with pytest.raises(DomainError):
             run_suite("everything")
+
+    def test_all_runs_every_suite_in_order(self):
+        names = [r.check_name for r in run_suite("all")]
+        assert names == [r.check_name for suite in verify.SUITES[1:] for r in run_suite(suite)]
+        assert verify.SUITES == ("all", "appendix", "normalization", "mode", "ode", "equilibrium")
+
+    def test_tabulated_label(self):
+        # a Tabulated has no dataclass fields, so its label is its class name alone
+        rep = verify_normalization(Tabulated(np.linspace(0.0, 1.0, 9), np.ones(9)))
+        assert rep.check_name == "normalization:tabulated"
+        assert rep.passed
 
     def test_spec_threaded_through(self):
         reports = run_suite("appendix", abs_tol=1e-12)

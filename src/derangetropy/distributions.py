@@ -333,8 +333,9 @@ class Tabulated(Distribution):
 
     The sampled values are renormalized by the rule every sampled density in
     the package follows (numerics._unit_density): unit trapezoid mass over
-    the grid, a cdf running exactly from 0 to 1, and InvalidGrid if the mass
-    is not positive and finite. The applied factor is kept as `normalization`.
+    the grid, a cdf running exactly from 0 to 1, and InvalidGrid unless the
+    mass is positive and finite and scaling by it stays finite. The applied
+    factor is kept as `normalization`.
     """
 
     def __init__(self, xs, fs):

@@ -170,16 +170,16 @@ def _trapezoid(ys: np.ndarray | Callable, xs: np.ndarray, lo: int = 0, hi: int |
 
     ys is the integrand as an array, or as a function ys(s, e) that returns it on nodes [s, e), as one
     row or as rows of several integrands, whose integrals come back as a tuple. Each term is (y[i] +
-    y[i + 1]) * (0.5 * dx): the spacing is halved, but the neighbours are added first, so two that add
-    past the float maximum, as two of 9e307 do, make the term and the total inf even where the term
-    itself is finite. Given out, of the grid's size, term i of one integrand is left in out[i + 1]. The
-    terms are formed a block at a time, each block is summed by np.sum and the block sums are added
-    exactly by math.fsum, so the rounding error is one block sum's plus one rounding, however long the
-    grid (Higham, SISC 14, 1993).
+    y[i + 1]) * (0.5 * dx), but a block with a sum that is not finite, as where neighbours of 9e307 add
+    past the float maximum, is formed again as (0.5 * y[i] + 0.5 * y[i + 1]) * dx: any two finite
+    neighbours give a finite term, unless the term itself is past the float maximum. Given out, of the
+    grid's size, term i of one integrand is left in out[i + 1]. The terms are formed a block at a time,
+    each block is summed by np.sum and the block sums are added exactly by math.fsum, so the rounding
+    error is one block sum's plus one rounding, however long the grid (Higham, SISC 14, 1993).
     """
     n = xs.size - 1
     spacings, sums = np.empty(min(n, _BLOCK)), []
-    # an overflow shows in the total, whose finiteness every caller checks, as does inf * (0.5 * 5e-324)
+    # a term past the float range shows in the total, whose finiteness every caller checks
     with np.errstate(over="ignore", invalid="ignore"):
         for s, e in _blocks(lo, n if hi is None else hi):
             y = ys(s, e + 1) if callable(ys) else ys[s : e + 1]
@@ -187,6 +187,9 @@ def _trapezoid(ys: np.ndarray | Callable, xs: np.ndarray, lo: int = 0, hi: int |
             dx = np.subtract(xs[s + 1 : e + 1], xs[s:e], out=spacings[: e - s])
             t *= np.multiply(0.5, dx, out=dx)
             sums.append(t.sum(axis=-1))
+            if not np.isfinite(sums[-1]).all():
+                h, dx = 0.5 * y, xs[s + 1 : e + 1] - xs[s:e]
+                sums[-1] = np.multiply(h[..., 1:] + h[..., :-1], dx, out=t).sum(axis=-1)
     totals = []
     for row in np.atleast_2d(np.array(sums).T).tolist():
         try:
@@ -203,10 +206,10 @@ def _unit_density(ys: np.ndarray, xs: np.ndarray, lo: int = 0, hi: int | None = 
     Returns (density, cdf, mass): density is ys over its mass, and cdf the running sum of the
     trapezoid terms, which _trapezoid leaves in it, over its last value. ys must be nonnegative
     on an increasing grid, so cdf runs exactly from 0 to 1. InvalidGrid unless the mass is positive
-    and finite, at least n smallest normal numbers for n nodes, and the density's trapezoid terms
-    and the running sum are finite. So density is finite with unit trapezoid mass to rounding:
-    below that floor, terms rounded as subnormals could leave it off by more. If ys is +0.0
-    outside nodes [lo, hi), only those are scaled and summed; cdf is the one new grid-sized array.
+    and finite, at least n smallest normal numbers for n nodes, and ys scaled by it is finite: then
+    density has unit trapezoid mass to rounding, finite as _trapezoid forms it. Below that floor,
+    terms rounded as subnormals could leave it off by more. If ys is +0.0 outside nodes [lo, hi),
+    only those are scaled and summed; cdf is the one new grid-sized array.
     """
     n = ys.size
     # the terms [a, b) are those that touch nodes [lo, hi): the others are +0.0
@@ -224,9 +227,6 @@ def _unit_density(ys: np.ndarray, xs: np.ndarray, lo: int = 0, hi: int | None = 
         with np.errstate(over="raise"):
             ys[a : b + 1] /= mass
             np.cumsum(cdf[a + 1 : b + 1], out=cdf[a + 1 : b + 1])
-            # two scaled neighbours add past the float range only across a spacing below 2**-1023, within 5e-292 of 0
-            band = ys[max(int(np.searchsorted(xs, -5e-292)), a) : min(int(np.searchsorted(xs, 5e-292)), b + 1)]
-            np.add(band[1:], band[:-1])
     except FloatingPointError:
         raise InvalidGrid(f"sampled density of mass {mass!r} overflows when scaled to unit mass") from None
     cdf[a + 1 : b + 1] /= cdf[b]

@@ -131,7 +131,9 @@ def apply_derangetropy(g: GridFunction, *, _trusted: bool = False) -> GridFuncti
     for s, e in _blocks(lo, hi):
         # a trusted cdf is in [0, 1] already (see iterate)
         derangetropy_kernel(F[s:e] if _trusted else np.clip(F[s:e], 0.0, 1.0, out=clipped[: e - s]), out=density[s:e])
-        density[s:e] *= g.density[s:e]
+        # a product past the float range is inf, and _unit_density refuses its mass
+        with np.errstate(over="ignore"):
+            density[s:e] *= g.density[s:e]
         if not _trusted:
             # -0.0 and the negative entries that validate tolerates become +0.0
             np.maximum(density[s:e], 0.0, out=density[s:e])

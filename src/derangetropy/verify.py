@@ -13,15 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (
-    Arcsin,
-    Distribution,
-    Exponential,
-    Normal,
-    Semicircle,
-    Uniform,
-    _grid,
-)
+from .distributions import Arcsin, Distribution, Exponential, Normal, Semicircle, Uniform, _grid
 from .errors import DomainError, InvalidGrid, NonFiniteSample, SymmetryProbeFailed
 from .functional import (
     SCALE,

@@ -1,12 +1,16 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cli_cases
+import derangetropy
 from derangetropy import cli, numerics
 from derangetropy.cli import _build_parser, _resolve, _table, main
 from derangetropy.distributions import _grid, from_spec
@@ -272,6 +276,28 @@ class TestRecurse:
         assert code == 0
         metrics = json.loads(out)["metrics"]
         assert metrics[0]["central_mass"] == pytest.approx(0.2, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "dist, want",
+        # the kernel is at most 1.405, at the median: Uniform's level-1 peak, 1.405 * 1e308, stays below the float
+        # maximum, and Normal's, 1.405 * 1.33e308, passes it, so that level's mass is inf and refused
+        [("uniform:0,1e-308", 0), ("normal:0,3e-309", 3)],
+    )
+    def test_peak_density_near_the_float_maximum(self, dist, want):
+        # a fresh interpreter with numpy's warnings as errors, so that a warning would end in a traceback
+        src = str(Path(derangetropy.__file__).resolve().parents[1])
+        argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "derangetropy", "recurse", "--dist", dist]
+        run = subprocess.run(
+            [*argv, "--points", "101", "--levels", "1"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert run.returncode == want, run.stderr
+        assert "Traceback" not in run.stderr
+        if want == 3:
+            assert run.stdout == "" and run.stderr == "error: sampled density has mass inf\n"
+        else:
+            # the last row is level 1's metrics
+            assert run.stdout.splitlines()[-1].startswith("1,")
 
 
 class TestVerify:

@@ -512,12 +512,24 @@ class TestTrapezoid:
         # nine terms of 1e307: their doubled sum 1.8e308 would overflow, the terms themselves do not
         assert _trapezoid(np.ones(10), np.arange(10) * 1e307) == 9e307
 
+    def test_neighbours_past_the_float_maximum(self):
+        # 9e307 + 9e307 is inf, but the block is summed again from halved neighbours: 9e307 * 0.5
+        xs = np.array([0.0, 0.5])
+        assert _trapezoid(np.full(2, 9e307), xs) == 4.5e307
+        assert _unit_density(np.full(2, 9e307), xs)[2] == 4.5e307
+        # with several integrands, the block is formed again for all, and the finite one keeps its value
+        rows = np.array([[9e307, 9e307, 9e307], [1.0, 2.0, 3.0]])
+        assert _trapezoid(lambda s, e: rows[:, s:e], np.array([0.0, 0.5, 1.0])) == (9e307, 2.0)
+
     def test_overflowing_sum_on_the_least_spacing(self):
-        # half of 5e-324 rounds to 0, and inf * 0 is nan: no warning, and the mass is refused
-        ys, xs = np.full(3, 1.7976931348623157e308), np.array([-5e-324, 0.0, 1.0])
-        assert math.isnan(_trapezoid(ys, xs))
-        with pytest.raises(InvalidGrid, match="^sampled density has mass nan$"):
-            _unit_density(ys, xs)
+        # half of 5e-324 rounds to 0 and the neighbours add to inf, but halved first their term is
+        # max * 5e-324 = 8.9e-16, so the mass is the float maximum and the density scales to 1
+        big = 1.7976931348623157e308
+        ys, xs = np.full(3, big), np.array([-5e-324, 0.0, 1.0])
+        assert _trapezoid(ys, xs) == big
+        density, cdf, mass = _unit_density(ys, xs)
+        assert mass == big
+        assert density.tolist() == [1.0, 1.0, 1.0] and cdf.tolist() == [0.0, 5e-324, 1.0]
 
     @pytest.mark.parametrize("block", [128, None], ids=["block-128", "block-default"])
     def test_block_sums_added_exactly(self, block, monkeypatch):

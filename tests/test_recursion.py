@@ -153,21 +153,25 @@ class TestSampledDensityRule:
                 [0.0, 0.0, 0.5, 1.0, 1.0],
                 r"sampled density of mass 1\.405\d*e-306 overflows when scaled to unit mass",
             ),
-            # nodes 4.4e-309 apart: each scaled value, 1.1e308, is finite, but two neighbours add to inf
-            (
-                [0.0, 1.0 / 3.0 / 7.5e307, 2.0 / 3.0 / 7.5e307, 1.0 / 7.5e307],
-                [7.5e307, 7.5e307, 7.5e307, 7.5e307],
-                [0.0, 0.25, 0.75, 1.0],
-                r"sampled density of mass 0\.75499\d* overflows when scaled to unit mass",
-            ),
         ],
-        ids=["tiny-mass", "subnormal-terms", "overflow", "neighbour-overflow"],
+        ids=["tiny-mass", "subnormal-terms", "overflow"],
     )
     def test_step_that_cannot_reach_unit_mass(self, xs, density, cdf, message):
         g = GridFunction(xs=np.array(xs), density=np.array(density), cdf=np.array(cdf), level=0)
         g.validate()
         with pytest.raises(InvalidGrid, match=f"^{message}$"):
             apply_derangetropy(g)
+
+    def test_neighbours_past_the_float_maximum(self):
+        # nodes 4.4e-309 apart: two scaled neighbours of 1.1e308 add to inf, but the trapezoid halves
+        # them first, so the level is valid with unit mass
+        xs = np.array([0.0, 1.0 / 3.0 / 7.5e307, 2.0 / 3.0 / 7.5e307, 1.0 / 7.5e307])
+        g = GridFunction(xs=xs, density=np.full(4, 7.5e307), cdf=np.array([0.0, 0.25, 0.75, 1.0]), level=0)
+        g1 = apply_derangetropy(g)
+        g1.validate()
+        assert g1.prenorm_mass == pytest.approx(0.75499, abs=1e-5)
+        assert g1.density[1] == g1.density[2] == pytest.approx(1.125e308)
+        assert g1.cdf.tolist() == [0.0, 0.25, 0.75, 1.0]
 
     def test_zero_reweighted_density(self):
         # a valid level whose mass sits where the cdf is 0 or 1, so the kernel erases all of it
@@ -563,10 +567,11 @@ class TestGridFunctionValidation:
             bad.validate()
 
     def test_nan_mass(self):
-        # the trapezoid mass of this level is nan (see numerics' least-spacing test), which must fail too
+        # neighbours that add to inf across a 5e-324 spacing: the mass is the float maximum (see numerics'
+        # least-spacing test), not nan, and validate reports it
         ys = np.full(3, 1.7976931348623157e308)
         g = GridFunction(xs=np.array([-5e-324, 0.0, 1.0]), density=ys, cdf=np.array([0.0, 0.5, 1.0]), level=0)
-        with pytest.raises(InvalidGrid, match="mass nan"):
+        with pytest.raises(InvalidGrid, match=r"^density mass 1\.7976931348623157e\+308 is not 1 within 1e-08$"):
             g.validate()
 
     def test_spacing_past_the_float_range(self):

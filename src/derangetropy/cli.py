@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import fields
 from itertools import chain
@@ -21,11 +20,9 @@ import numpy as np
 from .distributions import Tabulated, _grid, from_spec
 from .errors import DerangetropyError, DomainError, ParseError
 from .functional import derangetropy_profile, energy_decomposition
-from .numerics import ABS_TOL, _blocks
+from .numerics import _blocks
 from .recursion import ConvergenceMetrics, convergence_metrics, discretize, iterate
 from .verify import SUITES, run_suite
-
-_ENV_TOL = "DERANGETROPY_SEED_TOL"
 
 # recurse warns on stderr about each level whose trapezoid mass before
 # renormalization is further than this from 1, or for level 0 from the
@@ -36,16 +33,23 @@ _MASS_DRIFT = 1e-6
 # through a float, so points whose float rounds above it fail there too
 _MAX_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
-_DEFAULTS = {
-    "dist": "uniform:0,1",
-    "points": 2001,
-    "tail_eps": 1e-6,
-    "levels": 3,
-    "delta": None,
-    "format": "csv",
-    "out": None,
-    "suite": "all",
+_GRID_COMMANDS = ("eval", "energy", "recurse")
+
+# each setting: its default, the commands that take it as a flag, and that flag's argparse keywords (type, choices,
+# help); a setting without a type is a string. Every command also takes --config, after --out, and this order is
+# that of each command's --help
+_SETTINGS = {
+    "suite": ("all", ("verify",), dict(choices=SUITES)),
+    "dist": ("uniform:0,1", _GRID_COMMANDS, dict(help="distribution spec, e.g. uniform:0,1 or tabulated:f.csv")),
+    "points": (2001, _GRID_COMMANDS, dict(type=int, help="grid size (>= 101)")),
+    "tail_eps": (1e-6, _GRID_COMMANDS, dict(type=float, help="tail quantile cut in (0, 0.1)")),
+    "format": ("csv", _GRID_COMMANDS, dict(choices=("csv", "json"), help="output format")),
+    "out": (None, (*_GRID_COMMANDS, "verify"), dict(help="output path (default: stdout)")),
+    "levels": (3, ("recurse",), dict(type=int, help="recursion depth in [1, 10]")),
+    "delta": (None, ("recurse",), dict(type=float, help="half-width for central mass (default: 5%% of grid span)")),
 }
+
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,30 +59,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "its recursive self-application, and the numerical verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, with_grid: bool = True) -> None:
-        if with_grid:
-            p.add_argument("--dist", help="distribution spec, e.g. uniform:0,1 or tabulated:f.csv")
-            p.add_argument("--points", type=int, help="grid size (>= 101)")
-            p.add_argument("--tail-eps", dest="tail_eps", type=float, help="tail quantile cut in (0, 0.1)")
-            p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--config", help="JSON file with the same fields; explicit flags win")
-
-    p_eval = sub.add_parser("eval", help="rho on a grid: columns x, f, F, rho")
-    add_common(p_eval)
-
-    p_energy = sub.add_parser("energy", help="energy split on a grid: x, e_oscillatory, e_structural, e_total")
-    add_common(p_energy)
-
-    p_rec = sub.add_parser("recurse", help="iterated operator: per-level grid dump plus metrics")
-    add_common(p_rec)
-    p_rec.add_argument("--levels", type=int, help="recursion depth in [1, 10]")
-    p_rec.add_argument("--delta", type=float, help="half-width for central mass (default: 5%% of grid span)")
-
-    p_ver = sub.add_parser("verify", help="run a verification suite, report JSON")
-    p_ver.add_argument("--suite", choices=SUITES)
-    add_common(p_ver, with_grid=False)
+    for command, (help_text, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for key, (_, commands, flag) in _SETTINGS.items():
+            if command in commands:
+                p.add_argument("--" + key.replace("_", "-"), **flag)
+            if key == "out":
+                p.add_argument("--config", help="JSON file with the same fields; explicit flags win")
     return parser
 
 
@@ -95,7 +82,7 @@ def _load_config_file(path: str) -> dict:
     out = {}
     for key, value in data.items():
         norm = str(key).replace("-", "_")
-        if norm not in _DEFAULTS:
+        if norm not in _SETTINGS:
             raise ParseError(f"config {path!r} has unknown field {key!r}")
         out[norm] = value
     return out
@@ -103,28 +90,30 @@ def _load_config_file(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Defaults, then config file, then explicit flags; validate the result."""
-    cfg = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    cfg = {key: default for key, (default, _, _) in _SETTINGS.items()}
+    if args.config:
         cfg.update(_load_config_file(args.config))
-    for key in _DEFAULTS:
+    for key in _SETTINGS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
 
-    for key, kind in (("points", int), ("tail_eps", float), ("levels", int), ("delta", float)):
-        val = cfg[key]
-        try:
-            # bool is an int subclass, and int() would truncate 2.7 to 2
-            if isinstance(val, bool) or (kind is int and isinstance(val, float) and not val.is_integer()):
-                raise TypeError
-            if val is not None or key != "delta":
+    for key, (default, _, flag) in _SETTINGS.items():
+        val, kind = cfg[key], flag.get("type", str)
+        if "choices" in flag:
+            if val not in flag["choices"]:
+                raise DomainError(f"--{key} must be one of {', '.join(flag['choices'])}, got {val!r}")
+        elif val is not None or default is not None:
+            try:
+                # bool is an int subclass, int() would truncate 2.7 to 2, and str() takes anything, while open()
+                # takes an int `out` as a file descriptor and would write to it
+                if isinstance(val, bool) or (kind is int and isinstance(val, float) and not val.is_integer()):
+                    raise TypeError
+                if kind is str and not isinstance(val, str):
+                    raise TypeError
                 cfg[key] = kind(val)
-        except (TypeError, ValueError, OverflowError):
-            raise ParseError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {val!r}") from None
-    for key in ("dist", "out"):
-        # open() takes an int `out` as a file descriptor and would write to it
-        if not isinstance(cfg[key], str) and not (key == "out" and cfg[key] is None):
-            raise ParseError(f"{key} must be a string, got {cfg[key]!r}")
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError(f"{key} must be {_KINDS[kind]}, got {val!r}") from None
     if cfg["points"] < 101:
         raise DomainError(f"--points must be at least 101, got {cfg['points']}")
     if cfg["points"] > _MAX_POINTS or float(cfg["points"]) > _MAX_POINTS:
@@ -135,23 +124,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise DomainError(f"--levels must lie in [1, 10], got {cfg['levels']}")
     if cfg["delta"] is not None and not (cfg["delta"] > 0.0 and math.isfinite(cfg["delta"])):
         raise DomainError(f"--delta must be positive and finite, got {cfg['delta']}")
-    for key, names in (("format", ("csv", "json")), ("suite", SUITES)):
-        if cfg[key] not in names:
-            raise DomainError(f"--{key} must be one of {', '.join(names)}, got {cfg[key]!r}")
     return cfg
-
-
-def _abs_tol_from_env() -> float:
-    raw = os.environ.get(_ENV_TOL)
-    if raw is None:
-        return ABS_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise ParseError(f"{_ENV_TOL}={raw!r} is not a number") from None
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ParseError(f"{_ENV_TOL} must be a positive finite number, got {raw!r}")
-    return tol
 
 
 def _table(parts, fmt: str, indent: str = ""):
@@ -183,14 +156,14 @@ def _table(parts, fmt: str, indent: str = ""):
 def _cmd_eval(d, cfg):
     xs = _grid(d, cfg["points"], cfg["tail_eps"])
     f, F, rho = derangetropy_profile(d, xs)
-    return _table([{"x": xs, "f": f, "F": F, "rho": rho}], cfg["format"])
+    return _table([{"x": xs, "f": f, "F": F, "rho": rho}], cfg["format"]), 0
 
 
 def _cmd_energy(d, cfg):
     xs = _grid(d, cfg["points"], cfg["tail_eps"])
     e = energy_decomposition(d, xs)
     columns = {"x": xs, "e_oscillatory": e.e_oscillatory, "e_structural": e.e_structural, "e_total": e.e_total}
-    return _table([columns], cfg["format"])
+    return _table([columns], cfg["format"]), 0
 
 
 def _cmd_recurse(d, cfg):
@@ -214,12 +187,12 @@ def _cmd_recurse(d, cfg):
     metric_columns = {f.name: [getattr(m, f.name) for m in metrics] for f in fields(ConvergenceMetrics)}
     grid_table, metric_table = _table(grids, cfg["format"], "  "), _table([metric_columns], cfg["format"], "  ")
     if cfg["format"] == "json":
-        return chain(['{\n  "grids": '], grid_table, [',\n  "metrics": '], metric_table, ["\n}"])
-    return chain(grid_table, ["\n\n"], metric_table)
+        return chain(['{\n  "grids": '], grid_table, [',\n  "metrics": '], metric_table, ["\n}"]), 0
+    return chain(grid_table, ["\n\n"], metric_table), 0
 
 
-def _cmd_verify(cfg, abs_tol: float):
-    reports = run_suite(cfg["suite"], abs_tol)
+def _cmd_verify(d, cfg):
+    reports = run_suite(cfg["suite"])
     code = 0 if all(r.passed for r in reports) else 1
     return [json.dumps([r.to_dict() for r in reports], indent=2)], code
 
@@ -234,6 +207,16 @@ def _write(blocks, out_path: str | None) -> None:
             fh.writelines(blocks)
 
 
+# each command: its help, and its runner, which takes the distribution (None for a command without --dist) and the
+# settings and gives back the blocks of its output and its exit code
+_COMMANDS = {
+    "eval": ("rho on a grid: columns x, f, F, rho", _cmd_eval),
+    "energy": ("energy split on a grid: x, e_oscillatory, e_structural, e_total", _cmd_energy),
+    "recurse": ("iterated operator: per-level grid dump plus metrics", _cmd_recurse),
+    "verify": ("run a verification suite, report JSON", _cmd_verify),
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -245,12 +228,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = _resolve(args)
-        if args.command == "verify":
-            abs_tol = _abs_tol_from_env()
-        else:
-            d = from_spec(cfg["dist"])
-            if isinstance(d, Tabulated):
-                print(f"note: tabulated density renormalized by factor {d.normalization!r}", file=sys.stderr)
+        d = from_spec(cfg["dist"]) if args.command in _SETTINGS["dist"][1] else None
+        if isinstance(d, Tabulated):
+            print(f"note: tabulated density renormalized by factor {d.normalization!r}", file=sys.stderr)
     except DerangetropyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -258,14 +238,7 @@ def main(argv=None) -> int:
     # every command computes in full before its blocks are rendered and written, and rendering raises no
     # DerangetropyError, so an exit 3 from the computation comes before the first byte of output
     try:
-        if args.command == "eval":
-            blocks, code = _cmd_eval(d, cfg), 0
-        elif args.command == "energy":
-            blocks, code = _cmd_energy(d, cfg), 0
-        elif args.command == "recurse":
-            blocks, code = _cmd_recurse(d, cfg), 0
-        else:
-            blocks, code = _cmd_verify(cfg, abs_tol)
+        blocks, code = _COMMANDS[args.command][1](d, cfg)
         _write(blocks, cfg["out"])
     except DerangetropyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,9 +23,9 @@ from .errors import DomainError, InvalidGrid, NegativeDensity, NonFiniteSample, 
 from .numerics import _increasing, _unit_density
 
 
-def _erf(z: np.ndarray) -> np.ndarray:
-    """math.erf per element, bit for bit, without np.vectorize's per-call overhead."""
-    return np.fromiter(map(math.erf, z.ravel().tolist()), float, count=z.size).reshape(z.shape)
+def _erfc(z: np.ndarray) -> np.ndarray:
+    """math.erfc per element, bit for bit, without np.vectorize's per-call overhead."""
+    return np.fromiter(map(math.erfc, z.ravel().tolist()), float, count=z.size).reshape(z.shape)
 
 
 def _t_minus_sin_series(t):
@@ -220,8 +220,8 @@ class Normal(_Symmetric):
         return z
 
     def _cdf(self, x):
-        z = (x - self.mu) / (self.sigma * math.sqrt(2.0))
-        return 0.5 * (1.0 + _erf(z))
+        # erfc of the reflected argument keeps the lower tail's relative precision, where 1 + erf cancels
+        return 0.5 * _erfc((self.mu - x) / (self.sigma * math.sqrt(2.0)))
 
     def _score(self, x):
         # for sigma near 1e-308 the score passes the float range; inf keeps its sign, all a scan needs

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -316,25 +317,6 @@ class TestVerify:
         assert len(reports) >= 10
         assert all(r["passed"] for r in reports)
 
-    def test_env_var_tightens_quadrature(self, capsys, monkeypatch):
-        monkeypatch.setenv("DERANGETROPY_SEED_TOL", "1e-12")
-        code, out, _ = _run(capsys, ["verify", "--suite", "appendix"])
-        assert code == 0
-        assert json.loads(out)[0]["residual"] < 1e-10
-
-    def test_env_var_garbage_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("DERANGETROPY_SEED_TOL", "not-a-number")
-        code, _, err = _run(capsys, ["verify", "--suite", "appendix"])
-        assert code == 2
-        assert err
-
-    @pytest.mark.parametrize("raw", ["0", "inf"])
-    def test_env_var_not_positive_finite(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("DERANGETROPY_SEED_TOL", raw)
-        code, out, err = _run(capsys, ["verify", "--suite", "appendix"])
-        assert (code, out) == (2, "")
-        assert err == f"error: DERANGETROPY_SEED_TOL must be a positive finite number, got {raw!r}\n"
-
 
 class TestConfigAndErrors:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
@@ -578,6 +560,48 @@ class TestConfigAndErrors:
         # the output stops after the rows already written
         assert code == 3 and out.startswith("x,f,F,rho\n") and out.count("\n") == 3
         assert err == "error: out of memory: while rendering\n"
+
+
+# a value other than its default for each setting of cli._SETTINGS; OUT stands for a path in the test's directory
+_VALUES = {
+    "suite": "appendix", "dist": "normal:0,1", "points": 301, "tail_eps": 0.01, "format": "json", "out": "OUT",
+    "levels": 2, "delta": 0.1,
+}
+
+
+class TestSettingsTable:
+    """Each setting of the table reaches its commands alike as a flag and as a config field."""
+
+    def _outcome(self, capsys, argv, out_path):
+        code, out, _ = _run(capsys, argv)
+        return code, out, out_path.read_text() if out_path.exists() else None
+
+    @pytest.mark.parametrize(
+        "key, field", [(k, f) for k in cli._SETTINGS for f in dict.fromkeys([k.replace("_", "-"), k])], ids=str
+    )
+    def test_flag_equals_config_field(self, capsys, tmp_path, key, field):
+        _, commands, _ = cli._SETTINGS[key]
+        out_path = tmp_path / "out.txt"
+        value = str(out_path) if _VALUES[key] == "OUT" else _VALUES[key]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        for command in commands:
+            default = self._outcome(capsys, [command], out_path)
+            flag = self._outcome(capsys, [command, "--" + key.replace("_", "-"), str(value)], out_path)
+            out_path.unlink(missing_ok=True)
+            assert self._outcome(capsys, [command, "--config", str(cfg)], out_path) == flag
+            out_path.unlink(missing_ok=True)
+            assert flag[0] == 0 and flag != default
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_lists_the_table_flags_in_order(self, capsys, command):
+        code, out, _ = _run(capsys, [command, "--help"])
+        assert code == 0
+        want = []
+        for key, (_, commands, _) in cli._SETTINGS.items():
+            want += ["--" + key.replace("_", "-")] * (command in commands) + ["--config"] * (key == "out")
+        # the options section starts each flag's line with two spaces, -h's too, and a usage line with more
+        assert re.findall(r"^  (--[a-z-]+)", out, re.M) == want
 
 
 class TestRoundTrip:

@@ -11,7 +11,7 @@ from derangetropy.distributions import (
     Semicircle,
     Tabulated,
     Uniform,
-    _erf,
+    _erfc,
     from_spec,
     load_tabulated,
 )
@@ -313,7 +313,7 @@ class TestQuantile:
 
 
 class TestQuantileAccuracy:
-    """The Normal and Semicircle quantiles, and the Semicircle cdf, against mpmath at 50 digits."""
+    """The Normal and Semicircle quantiles and cdfs against mpmath at 50 digits."""
 
     @pytest.fixture
     def mp(self):
@@ -333,6 +333,15 @@ class TestQuantileAccuracy:
             for _ in range(6):
                 ref -= (mp.ncdf(ref) - p) / mp.npdf(ref)
             assert abs(x - ref) <= 1e-15 * abs(ref), p
+
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (0.3, 1.7), (-2.0, 0.25)])
+    def test_normal_cdf_lower_tail(self, mp, mu, sigma):
+        # 0.5 * (1 + erf) cancelled: 1.8% off at -8 sigma and 0 below -8.374 sigma; erfc's error is the rounding of
+        # its argument, about 37.5 * 2**-53 relative in the argument at -37.5 sigma, so 2.7e-13 in the cdf
+        d = Normal(mu, sigma)
+        for x in (mu + sigma * np.linspace(-37.5, 0.0, 301)).tolist():
+            ref = mp.ncdf(mp.mpf(x), mu=mu, sigma=sigma)
+            assert abs(d.cdf(x) - ref) <= 5e-13 * ref, x
 
     @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (2.0, 2.5), (-1e5, 3.0)])
     def test_semicircle(self, mp, a, b):
@@ -402,10 +411,10 @@ class TestQuantileAccuracy:
         [np.array(0.7), np.array([]), np.linspace(-7.0, 7.0, 10_001), np.linspace(-2.0, 2.0, 12).reshape(3, 4)],
         ids=["0-d", "empty", "10001", "2-d"],
     )
-    def test_erf_is_math_erf_bitwise(self, z):
-        got = _erf(z)
+    def test_erfc_is_math_erfc_bitwise(self, z):
+        got = _erfc(z)
         assert got.shape == z.shape and got.dtype == np.float64
-        want = np.array([math.erf(v) for v in z.ravel().tolist()], dtype=float)
+        want = np.array([math.erfc(v) for v in z.ravel().tolist()], dtype=float)
         assert np.array_equal(got.ravel().view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("d", [Normal(0.3, 1.7), Semicircle(-1.0, 2.0)], ids=_ids)

@@ -393,6 +393,11 @@ class TestEnergyDecomposition:
         assert np.array_equal(e.e_total[~low], -np.log(rho[~low]))
         assert np.array_equal(e.e_total[low], e.e_oscillatory[low] + e.e_structural[low] - e.constant_c)
 
+    def test_normal_lower_tail(self):
+        # F is 0.5 * erfc(-x / sqrt 2): positive down to -37.5 sigma, where 0.5 * (1 + erf) was 0 below -8.374 sigma
+        e = energy_decomposition(Normal(0.0, 1.0), np.array([-9.0, -20.0, -37.5]))
+        assert np.isfinite(e.e_total).all() and np.all(np.abs(e.identity_residual()) < 1e-13 * e.e_total)
+
     @pytest.mark.parametrize("x", [0.0, 1.0, -0.5])
     def test_rejects_zero_density_points(self, x):
         with pytest.raises(DomainError):

@@ -2,12 +2,12 @@
 
 Every family exposes pdf, cdf, score (f'/f), pdf_derivative, quantile, median
 and support, and writes only support, quantile and the array-only hooks _pdf,
-_cdf and _score: the base class takes pdf_derivative as score times pdf,
-converts x to a float array once, gives a float back for a scalar x, and
-rejects derivative and score points outside the open support, infinite ends
-included. quantile and median are scalar. Normal's quantile is Wichura's AS241
-through `statistics.NormalDist`, Semicircle's solves Kepler's equation by
-Newton steps, and the rest are closed forms.
+_cdf and _score: the base class takes pdf_derivative as score times pdf, runs
+every hook through _on_array (as functional does), and rejects derivative and
+score points outside the open support, infinite ends included. quantile and
+median are scalar. Normal's quantile is Wichura's AS241 through
+`statistics.NormalDist`, Semicircle's solves Kepler's equation by Newton
+steps, and the rest are closed forms.
 """
 
 from __future__ import annotations
@@ -37,10 +37,15 @@ def _t_minus_sin_series(t):
 
 
 def _on_array(hook, x):
-    """hook on x as a float array; a float back for a scalar x."""
+    """hook on x as a float array: the one entry of every public pointwise function. Under the package's one
+    overflow rule, a value or a term past the float range is inf of its sign, with no warning. A float back for
+    a scalar x, and a float for each entry of a tuple."""
     arr = np.asarray(x, dtype=float)
-    val = hook(arr)
-    return float(val) if arr.ndim == 0 else val
+    with np.errstate(over="ignore"):
+        val = hook(arr)
+    if arr.ndim:
+        return val
+    return tuple(map(float, val)) if isinstance(val, tuple) else float(val)
 
 
 def _linear_cdf_quantile(xs: np.ndarray, cdf: np.ndarray, p) -> float:
@@ -89,8 +94,7 @@ class Distribution(ABC):
     def _pdf_derivative(self, x: np.ndarray) -> np.ndarray:
         """f' on a float array strictly inside the support; overridden where f may be 0 there."""
         # past the float range, as for Arcsin(0, 1) at 1e-300, inf of the product's sign is f' rounded
-        with np.errstate(over="ignore"):
-            return self._score(x) * self._pdf(x)
+        return self._score(x) * self._pdf(x)
 
     def pdf_derivative(self, x):
         """f'(x) strictly inside the support; DomainError at or beyond the boundary, infinite ends included."""
@@ -101,7 +105,7 @@ class Distribution(ABC):
         return self._inside(self._score, x)
 
     def _inside(self, hook, x):
-        """hook on x as a float array, once every point is known to lie strictly inside the support."""
+        """hook through _on_array, once every point of x is known to lie strictly inside the support."""
         arr = np.asarray(x, dtype=float)
         lo, hi = self.support()
         # written so that NaN fails it too
@@ -225,8 +229,7 @@ class Normal(_Symmetric):
 
     def _score(self, x):
         # for sigma near 1e-308 the score passes the float range; inf keeps its sign, all a scan needs
-        with np.errstate(over="ignore"):
-            return -((x - self.mu) / self.sigma) / self.sigma
+        return -((x - self.mu) / self.sigma) / self.sigma
 
     def quantile(self, p):
         import statistics  # here, not at module level: it adds ~3 ms to `import derangetropy`

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, _on_array
 from .errors import DomainError
 from .numerics import _TINY
 
@@ -75,17 +75,21 @@ def _half_angle_tan(F: np.ndarray, q) -> np.ndarray:
     return np.tan(np.minimum(F, q) * (0.5 * np.pi))
 
 
+def _unit_interval(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F, 1 - F), once every F is known to lie in [0, 1]; DomainError otherwise."""
+    # comparisons with NaN are False, so this also rejects NaN
+    if F.size and not (F.min() >= 0.0 and F.max() <= 1.0):
+        raise DomainError(f"needs F in [0,1], got {F!r}")
+    return F, np.subtract(1.0, F, out=np.empty_like(F))
+
+
 def bernoulli_entropy(p):
     """Entropy (nats) of a Bernoulli(p) coin, with 0*log(0) = 0.
 
     Accepts scalars or arrays; p must lie in [0, 1].
     """
-    arr = np.asarray(p, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
-        raise DomainError(f"bernoulli_entropy needs p in [0,1], got {p!r}")
     # 0.0 - x is -x bit for bit, except that it makes +0.0 of the +0.0 at p = 0 and p = 1
-    h = np.subtract(0.0, _neg_entropy(arr, 1.0 - arr))
-    return float(h) if arr.ndim == 0 else h
+    return _on_array(lambda arr: np.subtract(0.0, _neg_entropy(*_unit_interval(arr))), p)
 
 
 def derangetropy_kernel(F, out=None):
@@ -97,35 +101,35 @@ def derangetropy_kernel(F, out=None):
     Given out, a float array of F's shape sharing no memory with F, it writes the same bits there and returns out.
     derangetropy_gamma_form and the 50-digit mpmath test are its oracles.
     """
-    arr = np.asarray(F, dtype=float)
-    # comparisons with NaN are False, so this also rejects NaN
-    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
-        raise DomainError(f"kernel needs F in [0,1], got {F!r}")
-    q = np.subtract(1.0, arr, out=np.empty_like(arr))
-    val = _neg_entropy(arr, q, out)
-    t = np.asarray(_half_angle_tan(arr, q))
+    return _on_array(lambda arr: _kernel(*_unit_interval(arr), out), F)
+
+
+def _kernel(F: np.ndarray, q, out: np.ndarray | None = None) -> np.ndarray:
+    """derangetropy_kernel at F known to lie in [0, 1], with q = 1 - F."""
+    val = _neg_entropy(F, q, out)
+    t = np.asarray(_half_angle_tan(F, q))
     np.multiply(np.exp(val, out=val), t, out=val)
     val /= np.add(np.square(t, out=t), 1.0, out=t)
     val *= 2.0 * SCALE
-    return float(val) if arr.ndim == 0 else val
+    return val
 
 
 def derangetropy(d: Distribution, x: float) -> DerangetropyValue:
     """Evaluate rho at a point, returning the ingredients along with it."""
-    x = float(x)
-    f, F, rho = derangetropy_profile(d, x)
-    return DerangetropyValue(x=x, f=float(f), F=float(F), rho=float(rho))
+    return DerangetropyValue(*_on_array(lambda arr: (arr, *_profile(d, arr)), x))
 
 
 def derangetropy_profile(d: Distribution, xs):
-    """Vectorized evaluation over a grid; returns (f, F, rho) arrays (0-d for a scalar)."""
-    xs = np.asarray(xs, dtype=float)
-    f = np.asarray(d.pdf(xs), dtype=float)
-    F = np.asarray(d.cdf(xs), dtype=float)
-    w = derangetropy_kernel(F)
+    """Vectorized evaluation over a grid; returns (f, F, rho), floats for a scalar."""
+    return _on_array(lambda arr: _profile(d, arr), xs)
+
+
+def _profile(d: Distribution, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, F, rho) on a float array x."""
+    f, F = d._pdf(x), d._cdf(x)
+    w = _kernel(*_unit_interval(F))
     # w == 0 forces rho = 0 even against an infinite density spike, without forming 0 * inf
-    rho = np.multiply(w, f, out=np.zeros(f.shape), where=w != 0.0)
-    return f, F, rho
+    return f, F, np.multiply(w, f, out=np.zeros(f.shape), where=w != 0.0)
 
 
 def derangetropy_entropy_form(d: Distribution, x: float) -> float:
@@ -135,9 +139,7 @@ def derangetropy_entropy_form(d: Distribution, x: float) -> float:
     kernel uses, so this route checks only the scalar path through
     bernoulli_entropy and math.sin.
     """
-    x = float(x)
-    f = float(d.pdf(x))
-    F = float(d.cdf(x))
+    f, F = d.pdf(x), d.cdf(x)
     if F <= 0.0 or F >= 1.0:
         return 0.0
     return SCALE * math.sin(math.pi * F) * math.exp(-bernoulli_entropy(F)) * f
@@ -151,9 +153,7 @@ def derangetropy_gamma_form(d: Distribution, x: float) -> float:
     F^F * (1-F)^(1-F) is taken in power form. Sharing no code with the
     kernel, this is the independent oracle of the three routes.
     """
-    x = float(x)
-    f = float(d.pdf(x))
-    F = float(d.cdf(x))
+    f, F = d.pdf(x), d.cdf(x)
     if F <= 0.0 or F >= 1.0:
         raise DomainError(f"gamma form needs F strictly inside (0,1), got F={F!r}")
     psi = F ** F * (1.0 - F) ** (1.0 - F)
@@ -161,9 +161,9 @@ def derangetropy_gamma_form(d: Distribution, x: float) -> float:
 
 
 def _interior_point(d: Distribution, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f and F at x, numpy scalars (cheaper arithmetic) for a 0-d x; DomainError unless all F in (0,1) and f > 0."""
-    f = np.asarray(d.pdf(x), dtype=float)
-    F = np.asarray(d.cdf(x), dtype=float)
+    """f and F at x, numpy scalars (cheaper arithmetic) for a 0-d x; DomainError unless all F in (0,1) and f > 0,
+    which puts every x strictly inside the support, where the family's _score holds."""
+    f, F = d._pdf(x), d._cdf(x)
     # comparisons with NaN are False, so NaN is rejected too
     ok = (F > 0.0) & (F < 1.0) & (f > 0.0)
     if not ok.all():
@@ -180,9 +180,8 @@ def _log_slope(f: np.ndarray, F: np.ndarray, score: np.ndarray) -> np.ndarray:
     q = 1.0 - F
     t = _half_angle_tan(F, q)
     # on a window about 1e-306 wide f * cot(pi F) passes the float range; inf keeps the sign, all a scan needs
-    with np.errstate(over="ignore"):
-        # pi*cot(pi*r) = pi/(2t) - pi*t/2 >= 0, and cot(pi*F) has the sign of 1/2 - F
-        return f * (np.copysign(0.5 * np.pi / t - 0.5 * np.pi * t, 0.5 - F) + np.log(F / q)) + score
+    # pi*cot(pi*r) = pi/(2t) - pi*t/2 >= 0, and cot(pi*F) has the sign of 1/2 - F
+    return f * (np.copysign(0.5 * np.pi / t - 0.5 * np.pi * t, 0.5 - F) + np.log(F / q)) + score
 
 
 def derangetropy_derivative(d: Distribution, x):
@@ -195,24 +194,21 @@ def derangetropy_derivative(d: Distribution, x):
     The chain rule puts the factor f(x) on the two F-terms (dF/dx = f); a
     rendition without that factor is only valid when f is identically 1.
     Every element is evaluated in one pass; DomainError if any of them lies
-    outside the interior. A scalar x gives a float.
+    outside the interior.
     """
-    x = np.asarray(x, dtype=float)
-    f, F = _interior_point(d, x)
-    rho_prime = derangetropy_kernel(F) * f * _log_slope(f, F, d.score(x))
-    return float(rho_prime) if x.ndim == 0 else rho_prime
+    def rho_prime(arr):
+        f, F = _interior_point(d, arr)
+        return _kernel(F, 1.0 - F) * f * _log_slope(f, F, d._score(arr))
+    return _on_array(rho_prime, x)
 
 
 def total_energy_derivative(d: Distribution, x):
     """d/dx of -log rho, i.e. -rho'/rho; zero exactly at energy equilibria.
 
     Takes a point or an array of points, under the same conditions as
-    derangetropy_derivative; a scalar x gives a float.
+    derangetropy_derivative.
     """
-    x = np.asarray(x, dtype=float)
-    f, F = _interior_point(d, x)
-    slope = -_log_slope(f, F, d.score(x))
-    return float(slope) if x.ndim == 0 else slope
+    return _on_array(lambda arr: -_log_slope(*_interior_point(d, arr), d._score(arr)), x)
 
 
 def energy_decomposition(d: Distribution, x) -> EnergyBreakdown:
@@ -221,14 +217,14 @@ def energy_decomposition(d: Distribution, x) -> EnergyBreakdown:
     e_oscillatory = -log sin(pi*F) diverges at both support ends and
     vanishes at the median; e_structural = H_B(F) - log f carries the
     distribution-shape information. DomainError if any point has F outside
-    (0,1) or f <= 0. A scalar x gives float fields, an array x array fields.
+    (0,1) or f <= 0.
     """
-    x = np.asarray(x, dtype=float)
-    f, F = _interior_point(d, x)
-    t = _half_angle_tan(F, 1.0 - F)
-    e_osc, e_str, rho = -np.log(2.0 * t / (1.0 + t * t)), bernoulli_entropy(F) - np.log(f), derangetropy_kernel(F) * f
-    # below the normal range K*f has lost its relative precision, or is 0, where its log is still e_osc + e_str - C
-    parts = (e_osc, e_str, np.where(rho < _TINY, e_osc + e_str - ENERGY_CONSTANT, -np.log(np.maximum(rho, _TINY))))
-    if x.ndim == 0:
-        parts = tuple(float(v) for v in parts)
-    return EnergyBreakdown(*parts, constant_c=ENERGY_CONSTANT)
+    def parts(arr):
+        f, F = _interior_point(d, arr)
+        q = 1.0 - F
+        t = _half_angle_tan(F, q)
+        e_osc, e_str, rho = -np.log(2.0 * t / (1.0 + t * t)), -_neg_entropy(F, q) - np.log(f), _kernel(F, q) * f
+        # where K*f is 0, subnormal (its relative precision lost) or inf, its log is still e_osc + e_str - C
+        normal = (rho >= _TINY) & (rho < np.inf)
+        return e_osc, e_str, np.where(normal, -np.log(np.maximum(rho, _TINY)), e_osc + e_str - ENERGY_CONSTANT)
+    return EnergyBreakdown(*_on_array(parts, x), constant_c=ENERGY_CONSTANT)

@@ -218,6 +218,8 @@ def l2_distance(g1: GridFunction, g2: GridFunction) -> float:
         )
     n = max(g1.xs.size, g2.xs.size)
     xs = np.linspace(lo, hi, n)
-    d1 = np.interp(xs, g1.xs, g1.density)
-    d2 = np.interp(xs, g2.xs, g2.density)
-    return math.sqrt(_trapezoid((d1 - d2) ** 2, xs))
+    diff = np.interp(xs, g1.xs, g1.density) - np.interp(xs, g2.xs, g2.density)
+    # squared as it stands, a difference past 1e154 overflows and one below 1e-162 underflows; scaling it by the
+    # power of two of its largest magnitude, and back after the square root, is exact
+    e = math.frexp(float(np.max(np.abs(diff))))[1]
+    return math.ldexp(math.sqrt(_trapezoid(np.square(np.ldexp(diff, -e)), xs)), e)

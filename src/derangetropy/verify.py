@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,14 +62,7 @@ class VerificationReport:
         )
 
     def to_dict(self) -> dict:
-        # details holds floats, ints and strings, so a shallow copy is a full one
-        return {
-            "check_name": self.check_name,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "details": dict(self.details),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

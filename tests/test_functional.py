@@ -16,6 +16,7 @@ from derangetropy.errors import DomainError
 from derangetropy.functional import (
     ENERGY_CONSTANT,
     SCALE,
+    EnergyBreakdown,
     bernoulli_entropy,
     derangetropy,
     derangetropy_derivative,
@@ -43,6 +44,28 @@ RHO_FLAT_CENTER = 1.4051959565836603
 
 def _ids(d):
     return type(d).__name__
+
+
+# every public pointwise function, as a call on (distribution, x); the kernel and the entropy take F at x
+POINTWISE = {
+    "pdf": lambda d, x: d.pdf(x),
+    "cdf": lambda d, x: d.cdf(x),
+    "score": lambda d, x: d.score(x),
+    "pdf_derivative": lambda d, x: d.pdf_derivative(x),
+    "bernoulli_entropy": lambda d, x: bernoulli_entropy(d.cdf(x)),
+    "derangetropy_kernel": lambda d, x: derangetropy_kernel(d.cdf(x)),
+    "derangetropy_profile": derangetropy_profile,
+    "derangetropy_derivative": derangetropy_derivative,
+    "total_energy_derivative": total_energy_derivative,
+    "energy_decomposition": energy_decomposition,
+}
+
+
+def _entries(result):
+    """The float or array entries of a pointwise result, as a tuple."""
+    if isinstance(result, EnergyBreakdown):
+        return result.e_oscillatory, result.e_structural, result.e_total
+    return result if isinstance(result, tuple) else (result,)
 
 
 class TestScale:
@@ -307,15 +330,16 @@ class TestDerivative:
             with pytest.raises(DomainError):
                 derangetropy_derivative(d, x)
 
+    @pytest.mark.parametrize("fn", POINTWISE.values(), ids=POINTWISE.keys())
     @pytest.mark.parametrize("d", ZOO, ids=_ids)
-    def test_array_matches_scalar_calls(self, d):
+    def test_array_matches_scalar_calls(self, d, fn):
+        # a scalar gives a float in each entry, an array its shape, with the bits of the scalar calls
         xs = np.array([d.quantile(p) for p in np.linspace(0.02, 0.98, 50)])
-        for fn in (derangetropy_derivative, total_energy_derivative):
-            got = fn(d, xs)
-            assert got.shape == xs.shape
-            want = [fn(d, float(x)) for x in xs]
-            assert all(type(w) is float for w in want)
-            assert got.tolist() == want
+        got = _entries(fn(d, xs))
+        want = [_entries(fn(d, float(x))) for x in xs]
+        assert all(type(v) is float for w in want for v in w)
+        assert all(g.shape == xs.shape for g in got)
+        assert [list(map(float.hex, g.tolist())) for g in got] == [list(map(float.hex, c)) for c in zip(*want)]
 
     @pytest.mark.parametrize("fn", [derangetropy_derivative, total_energy_derivative])
     def test_array_with_one_edge_point_rejected(self, fn):
@@ -331,6 +355,28 @@ class TestDerivative:
             assert total_energy_derivative(d, x) == pytest.approx(
                 -derangetropy_derivative(d, x) / rho, rel=1e-12
             )
+
+
+class TestOverflowRule:
+    """Past the float range a pointwise value is inf of its sign, or rounds to 0 or 1, with no RuntimeWarning."""
+
+    @pytest.mark.parametrize("call, want", [
+        (lambda: Normal(0.0, 1.0).pdf(1e200), 0.0),
+        (lambda: Normal(0.0, 1e-300).pdf(1.0), 0.0),
+        (lambda: Exponential(1e300).pdf(1e10), 0.0),
+        (lambda: Exponential(1e300).cdf(1e10), 1.0),
+        (lambda: derangetropy(Normal(0.0, 3e-309), 0.0).rho, math.inf),
+        (lambda: derangetropy_derivative(Normal(0.0, 1e-300), 1e-300), -math.inf),
+    ], ids=["normal_pdf_far", "normal_pdf_narrow", "exponential_pdf", "exponential_cdf", "rho", "derivative"])
+    def test_value(self, call, want):
+        got = call()
+        assert type(got) is float and got == want
+
+    def test_energy_total_where_rho_overflows(self):
+        # f = 1.3e308 at the median, so K*f passes the float maximum; e_total is e_osc + e_str - C there
+        e = energy_decomposition(Normal(0.0, 3e-309), 0.0)
+        assert e.identity_residual() == 0.0
+        assert e.e_total == pytest.approx(-709.821419677226, rel=1e-14)
 
 
 class TestEnergyDecomposition:

@@ -727,6 +727,12 @@ class TestL2Distance:
         b = apply_derangetropy(_grid(Normal(0.0, 1.0)))
         assert l2_distance(a, b) == pytest.approx(l2_distance(b, a), rel=1e-12)
 
+    @pytest.mark.parametrize("w", [1e-200, 1e200])
+    def test_difference_squared_past_the_float_range(self, w):
+        # the difference 1/(2w) squares past the float maximum at w = 1e-200, and below the least subnormal at 1e200
+        a, b = (discretize(Uniform(0.0, c * w), 1001, 1e-6) for c in (1.0, 2.0))
+        assert l2_distance(a, b) == pytest.approx(0.5 / math.sqrt(w), rel=1e-5, abs=0.0)
+
 
 def _bracket_density(g, x):
     """The lesser density at the two nodes around x: the piecewise-linear cdf rises at least that fast there."""
